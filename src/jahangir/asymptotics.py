@@ -1,7 +1,8 @@
 """Growth of the spanning-tree counts in both directions.
 
 a(n, m) = sigma(n, m+1) / sigma(n, m) is kept as an exact Fraction; decimal
-strings are rendering only.  The m-direction ratios appear to converge to a
+strings are rendering only.  Totals come from one pass of the recurrence in
+combinatorics.sigma_table.  The m-direction ratios appear to converge to a
 constant per n (estimated with a bracket, never asserted as a limit); the
 n-direction ratios decrease toward 1.
 """
@@ -11,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import sigma
-from .errors import ParameterDomainError
+from .combinatorics import sigma_table
+from .errors import require_at_least
 
 
 def decimal_truncate(x: Fraction, places: int) -> str:
@@ -101,42 +102,31 @@ class ConjectureReport:
     relative_error_decimal: str
 
 
-def _require(value: int, lo: int, name: str):
-    if value < lo:
-        raise ParameterDomainError(f"{name} must be >= {lo} (got {value})")
-
-
-def sigma_table(n: int, m_max: int) -> tuple[tuple[int, int], ...]:
-    """Rows (m, sigma(n, m)) for m = 3..m_max."""
-    _require(n, 2, "n")
-    _require(m_max, 3, "m_max")
-    return tuple((m, sigma(n, m).total) for m in range(3, m_max + 1))
-
-
 def ratio(n: int, m: int) -> Fraction:
     """a(n, m) = sigma(n, m+1) / sigma(n, m), exact."""
-    return Fraction(sigma(n, m + 1).total, sigma(n, m).total)
+    require_at_least(n, 2, "n")
+    require_at_least(m, 3, "m")
+    (_, before), (_, after) = sigma_table(n, m + 1)[-2:]
+    return Fraction(after, before)
 
 
 def ratio_series(n: int, m_max: int, places: int = 9) -> RatioSeries:
-    _require(n, 2, "n")
-    _require(m_max, 4, "m_max")
+    require_at_least(n, 2, "n")
+    require_at_least(m_max, 4, "m_max")
+    rows = sigma_table(n, m_max)
     entries = []
-    for m in range(3, m_max):
-        r = ratio(n, m)
+    for (m, before), (_, after) in zip(rows, rows[1:]):
+        r = Fraction(after, before)
         entries.append(RatioEntry(m, r, decimal_round_half_even(r, places)))
     return RatioSeries(n, tuple(entries))
 
 
 def n_direction_ratios(m: int, n_max: int) -> NDirectionRatios:
-    _require(m, 3, "m")
-    _require(n_max, 3, "n_max")
-    entries = []
-    prev_sigma = sigma(2, m).total
-    for n in range(3, n_max + 1):
-        cur = sigma(n, m).total
-        entries.append((n, Fraction(cur, prev_sigma)))
-        prev_sigma = cur
+    require_at_least(m, 3, "m")
+    require_at_least(n_max, 3, "n_max")
+    totals = [sigma_table(n, m)[-1][1] for n in range(2, n_max + 1)]
+    entries = [(n, Fraction(cur, prev))
+               for n, prev, cur in zip(range(3, n_max + 1), totals, totals[1:])]
     decreasing = all(entries[i][1] > entries[i + 1][1] for i in range(len(entries) - 1))
     return NDirectionRatios(m, tuple(entries), decreasing)
 
@@ -147,11 +137,11 @@ def delta_estimate(n: int, m_used: int = 20, places: int = 12) -> DeltaEstimate:
     The bracket is ordered min..max of a(n, m_used - 1) and a(n, m_used);
     its width is reported, not assumed, to shrink as m_used grows.
     """
-    _require(n, 2, "n")
-    _require(m_used, 6, "m_used")
-    point = ratio(n, m_used)
-    before = ratio(n, m_used - 1)
-    lo, hi = sorted((before, point))
+    require_at_least(n, 2, "n")
+    require_at_least(m_used, 6, "m_used")
+    (_, s0), (_, s1), (_, s2) = sigma_table(n, m_used + 1)[-3:]
+    point = Fraction(s2, s1)
+    lo, hi = sorted((Fraction(s1, s0), point))
     return DeltaEstimate(n, m_used, decimal_round_half_even(point, places), (lo, hi))
 
 
@@ -160,11 +150,12 @@ def conjecture_report(n: int, m: int, m_used: int = 20) -> ConjectureReport:
     the estimated m-direction ratio.  Exact rational arithmetic throughout;
     m = 3 is the degenerate exponent-zero case where both sides coincide.
     """
-    _require(n, 2, "n")
-    _require(m, 3, "m")
+    require_at_least(n, 2, "n")
+    require_at_least(m, 3, "m")
     point = ratio(n, m_used)
-    predicted = point ** (m - 3) * sigma(n, 3).total
-    actual = sigma(n, m).total
+    rows = sigma_table(n, m)
+    predicted = point ** (m - 3) * rows[0][1]
+    actual = rows[-1][1]
     rel = abs(predicted - actual) / actual
     return ConjectureReport(
         n=n,

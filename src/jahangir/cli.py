@@ -19,8 +19,8 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .asymptotics import ratio_series, sigma_table
-from .combinatorics import polynomial_coefficients, sigma
+from .asymptotics import ratio_series
+from .combinatorics import polynomial_coefficients, sigma, sigma_table
 from .cycles import census_j2m
 from .enumeration import DEFAULT_TREE_CAP, enumerate_all, enumerate_jahangir
 from .errors import (
@@ -33,14 +33,18 @@ from .graph_core import JahangirParams, build_jahangir, to_dot
 from .matrix_tree import count_spanning_trees_det
 
 
-def _engine_versions() -> dict:
-    import numpy
+_ENGINE_VERSIONS: dict = {}
 
-    return {
-        "jahangir": __version__,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-    }
+
+def _engine_versions() -> dict:
+    # numpy's version comes from its installed metadata: importing numpy
+    # would cost more than the rest of a JSON command.  Looked up once.
+    if not _ENGINE_VERSIONS:
+        from importlib import metadata
+
+        _ENGINE_VERSIONS.update(jahangir=__version__, python=platform.python_version(),
+                                numpy=metadata.version("numpy"))
+    return _ENGINE_VERSIONS
 
 
 def _emit(command: str, parameters: dict, result, timestamp: bool):

@@ -1,26 +1,32 @@
-"""Spanning-tree counting for J(n, m) by spoke combinations and rim gaps.
+"""Spanning-tree counting for J(n, m): the spoke-subset derivation and the
+closed forms that production counts use.
 
 Every spanning tree keeps a nonempty subset of the m spokes.  Fixing the k
 kept spokes splits the rim into k arcs; a tree deletes exactly one rim edge
 per arc, and an arc spanning a gap of g skipped spokes offers (g + 1) * n
 choices.  Summing n^k * prod(gap_j + 1) over all k-subsets and all k gives
 the count.  Subsets are grouped by their sorted gap vector (the signature)
-since the product depends on nothing else.
+since the product depends on nothing else.  class_census, class_contribution
+and gap_transform keep this derivation; it walks all 2^m subsets, so only
+tests call it, as the oracle for the closed forms below.
 
 Signatures are multisets of gaps, not rotation classes: from m >= 6, k >= 3
 two subsets that are not rotations of one another can share a signature
 (m=6, {1,2,4} and {1,2,5} both give (0,1,2)).  Multiplicities count
 combinations, so the totals are unaffected.
+
+The census sums in closed form: the trees keeping k spokes number n^k * A_k
+with A_k = (m/k) * C(m+k-1, 2k-1), and sigma(n, m) = L_m - 2 where L_0 = 2,
+L_1 = n + 2 and L_m = (n + 2) L_{m-1} - L_{m-2}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, require_at_least
 
 
 @dataclass(frozen=True)
@@ -32,8 +38,7 @@ class SpokeCombination:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.m:
-            raise ParameterDomainError(f"k must be in 1..m (got k={self.k}, m={self.m})")
+        _check_k(self.m, self.k)
         if len(self.indices) != self.k:
             raise ParameterDomainError("index count does not match k")
         if list(self.indices) != sorted(set(self.indices)):
@@ -74,11 +79,9 @@ class TreeCountBreakdown:
             raise ParameterDomainError("total does not equal the sum of per_k")
 
 
-def _check_params(n: int, m: int):
-    if n < 2:
-        raise ParameterDomainError(f"n must be >= 2 (got {n})")
-    if m < 3:
-        raise ParameterDomainError(f"m must be >= 3 (got {m})")
+def _check_k(m: int, k: int):
+    if not 1 <= k <= m:
+        raise ParameterDomainError(f"k must be in 1..m (got k={k}, m={m})")
 
 
 def _gaps(indices: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -99,65 +102,64 @@ def gap_transform(b: SpokeCombination) -> GapSignature:
     return GapSignature(b.k, tuple(sorted(_gaps(b.indices, b.m))))
 
 
-@lru_cache(maxsize=None)
-def _census_map(m: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    counts: dict[tuple[int, ...], int] = {}
-    for combo in combinations(range(1, m + 1), k):
-        sig = tuple(sorted(_gaps(combo, m)))
-        counts[sig] = counts.get(sig, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def class_census(m: int, k: int) -> list[tuple[GapSignature, int]]:
     """Distinct gap signatures over all C(m, k) spoke combinations, with
     multiplicities, sorted by gap vector.  Multiplicities sum to C(m, k).
     The census streams through the combinations; nothing of size C(m, k)
     is ever materialized.
     """
-    if m < 3:
-        raise ParameterDomainError(f"m must be >= 3 (got {m})")
-    if not 1 <= k <= m:
-        raise ParameterDomainError(f"k must be in 1..m (got k={k}, m={m})")
-    return [(GapSignature(k, gaps), mult) for gaps, mult in _census_map(m, k)]
+    require_at_least(m, 3, "m")
+    _check_k(m, k)
+    counts: dict[tuple[int, ...], int] = {}
+    for combo in combinations(range(1, m + 1), k):
+        sig = tuple(sorted(_gaps(combo, m)))
+        counts[sig] = counts.get(sig, 0) + 1
+    return [(GapSignature(k, gaps), mult) for gaps, mult in sorted(counts.items())]
 
 
 def class_contribution(n: int, sig: GapSignature) -> int:
     """Trees per combination in the class: n^k * prod(gap + 1)."""
-    if n < 2:
-        raise ParameterDomainError(f"n must be >= 2 (got {n})")
+    require_at_least(n, 2, "n")
     return n ** sig.k * prod(g + 1 for g in sig.gaps)
+
+
+def _coefficient(m: int, k: int) -> int:
+    # A_k = (m/k) * C(m+k-1, 2k-1), the census sum of mult * prod(gap + 1)
+    return m * comb(m + k - 1, 2 * k - 1) // k
 
 
 def sigma_k(n: int, m: int, k: int) -> int:
     """Number of spanning trees of J(n, m) that keep exactly k spokes."""
-    _check_params(n, m)
-    if not 1 <= k <= m:
-        raise ParameterDomainError(f"k must be in 1..m (got k={k}, m={m})")
-    nk = n ** k
-    return nk * sum(mult * prod(g + 1 for g in gaps) for gaps, mult in _census_map(m, k))
+    require_at_least(n, 2, "n")
+    require_at_least(m, 3, "m")
+    _check_k(m, k)
+    return n ** k * _coefficient(m, k)
 
 
 def sigma(n: int, m: int) -> TreeCountBreakdown:
     """Spanning-tree count of J(n, m) with its per-k breakdown."""
-    _check_params(n, m)
-    per_k = tuple(sigma_k(n, m, k) for k in range(1, m + 1))
+    require_at_least(n, 2, "n")
+    per_k = tuple(n ** k * a for k, a in enumerate(polynomial_coefficients(m), 1))
     return TreeCountBreakdown(n, m, per_k, sum(per_k))
 
 
 def polynomial_coefficients(m: int) -> tuple[int, ...]:
     """Coefficients (A_1, ..., A_m) with sigma(n, m) == sum A_k * n^k.
 
-    A_k is the census sum of multiplicity * prod(gap + 1); the leading
-    coefficient is 1 and A_1 is m squared.
+    The leading coefficient is 1 and A_1 is m squared.
     """
-    if m < 3:
-        raise ParameterDomainError(f"m must be >= 3 (got {m})")
-    coeffs = []
-    for k in range(1, m + 1):
-        coeffs.append(sum(mult * prod(g + 1 for g in gaps) for gaps, mult in _census_map(m, k)))
-    return tuple(coeffs)
+    require_at_least(m, 3, "m")
+    return tuple(_coefficient(m, k) for k in range(1, m + 1))
 
 
-def combination_count(m: int, k: int) -> int:
-    """C(m, k); handy for census sanity checks."""
-    return comb(m, k)
+def sigma_table(n: int, m_max: int) -> tuple[tuple[int, int], ...]:
+    """Rows (m, sigma(n, m)) for m = 3..m_max, from one pass of the recurrence."""
+    require_at_least(n, 2, "n")
+    require_at_least(m_max, 3, "m_max")
+    rows = []
+    prev, cur = 2, n + 2  # L_0, L_1
+    for m in range(2, m_max + 1):
+        prev, cur = cur, (n + 2) * cur - prev
+        if m >= 3:
+            rows.append((m, cur - 2))
+    return tuple(rows)

@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 
 from .combinatorics import sigma
 from .errors import EnumerationCapError
-from .graph_core import JahangirParams, LabeledGraph, build_jahangir, is_connected
+from .graph_core import JahangirParams, LabeledGraph, is_connected
 from .matrix_tree import count_spanning_trees_det
 
 DEFAULT_TREE_CAP = 10_000_000
@@ -239,11 +239,3 @@ def _structured_trees(params: JahangirParams, limit: Optional[int]) -> Iterator[
                     return
 
     return run()
-
-
-def jahangir_tree_dot(params: JahangirParams, tree: SpanningTree, name: str = "tree") -> str:
-    """DOT drawing of one tree inside its host graph, non-tree edges dashed."""
-    from .graph_core import to_dot
-
-    g = build_jahangir(params)
-    return to_dot(g, set(tree.edge_indices), name=name)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one parameter check."""
 
 
 class ParameterDomainError(ValueError):
@@ -19,3 +19,9 @@ class EnumerationCapError(RuntimeError):
 
 class EngineDisagreementError(RuntimeError):
     """Independent counting engines returned different results."""
+
+
+def require_at_least(value: int, lo: int, name: str):
+    """The package's one lower-bound check on a numeric parameter."""
+    if value < lo:
+        raise ParameterDomainError(f"{name} must be >= {lo} (got {value})")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphValidationError, ParameterDomainError
+from .errors import GraphValidationError, ParameterDomainError, require_at_least
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,8 @@ class JahangirParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or not isinstance(self.m, int):
             raise ParameterDomainError("n and m must be integers")
-        if self.n < 2:
-            raise ParameterDomainError(f"n must be >= 2 (got {self.n})")
-        if self.m < 3:
-            raise ParameterDomainError(f"m must be >= 3 (got {self.m})")
+        require_at_least(self.n, 2, "n")
+        require_at_least(self.m, 3, "m")
 
     @property
     def vertex_count(self) -> int:
@@ -81,15 +79,6 @@ class LabeledGraph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from jahangir import (
     sigma,
     verify_spanning_tree,
 )
-from jahangir.enumeration import jahangir_tree_dot
+from jahangir.cli import main
 
 
 class TestEnumerateAll:
@@ -183,10 +183,9 @@ class TestVerifier:
 
 
 class TestTreeDot:
-    def test_non_tree_edges_dashed(self):
-        params = JahangirParams(2, 3)
-        tree = next(iter(enumerate_jahangir(params)))
-        dot = jahangir_tree_dot(params, tree, name="t0")
-        assert dot.startswith("graph t0 {")
+    def test_non_tree_edges_dashed(self, capsys):
+        assert main(["enumerate", "--n", "2", "--m", "3", "--limit", "1", "--format", "dot"]) == 0
+        dot = capsys.readouterr().out
+        assert dot.startswith("graph tree_0 {")
         # J(n, m) has m more edges than a spanning tree needs
         assert dot.count("style=dashed") == 3

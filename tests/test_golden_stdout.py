@@ -1,0 +1,53 @@
+"""Byte-identical CLI stdout for the pinned count, coeffs, table and ratios queries.
+
+perfbench/seed_digests.json maps each pinned argv (joined with spaces) to
+the sha256 of the stdout the seed program printed for it, with the Python
+and numpy versions in the JSON envelope masked as "*".  This test replays
+those argv through cli.main and compares digests.  The Kirchhoff-method
+counts are left out: their determinants at |V| up to 601 take minutes,
+and no code they run is shared with the combinatorial count path.
+"""
+
+import hashlib
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from jahangir.cli import main
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "seed_digests.json"
+COMMANDS = ("count", "coeffs", "table", "ratios")
+VERSION_KEYS = (b'"python": "', b'"numpy": "')
+
+
+def mask_versions(data: bytes) -> bytes:
+    """Replace the value after each version key with "*"."""
+    for key in VERSION_KEYS:
+        at = data.find(key)
+        if at >= 0:
+            start = at + len(key)
+            data = data[:start] + b"*" + data[data.find(b'"', start):]
+    return data
+
+
+def pinned():
+    digests = json.loads(DIGESTS.read_text())["digests"]
+    return {key: digest for key, digest in digests.items()
+            if key.split()[0] in COMMANDS and "--method kirchhoff" not in key}
+
+
+def test_pinned_queries_cover_every_command():
+    assert {key.split()[0] for key in pinned()} == set(COMMANDS)
+
+
+def test_stdout_matches_seed_digests():
+    mismatched = []
+    for key, digest in pinned().items():
+        out = StringIO()
+        with redirect_stdout(out), redirect_stderr(StringIO()):
+            main(key.split())
+        got = hashlib.sha256(mask_versions(out.getvalue().encode())).hexdigest()
+        if got != digest:
+            mismatched.append(key)
+    assert mismatched == []
