@@ -63,12 +63,16 @@ def _cmd_count(args) -> int:
     params = JahangirParams(args.n, args.m)
     cap = None if args.allow_huge else DEFAULT_TREE_CAP
     engines = {}
+    if args.method in ("combinatorial", "all") or args.breakdown:
+        counted = sigma(args.n, args.m)
     if args.method in ("combinatorial", "all"):
-        engines["combinatorial"] = sigma(args.n, args.m).total
+        engines["combinatorial"] = counted.total
+    if args.method != "combinatorial":
+        g = build_jahangir(params)
     if args.method in ("kirchhoff", "all"):
-        engines["kirchhoff"] = count_spanning_trees_det(build_jahangir(params))
+        engines["kirchhoff"] = count_spanning_trees_det(g)
     if args.method in ("enumerate", "all"):
-        engines["enumerate"] = sum(1 for _ in enumerate_all(build_jahangir(params), cap=cap))
+        engines["enumerate"] = sum(1 for _ in enumerate_all(g, cap=cap))
 
     result = {"n": args.n, "m": args.m, "method": args.method}
     agreement = True
@@ -81,7 +85,7 @@ def _cmd_count(args) -> int:
     else:
         result["total"] = str(engines[args.method])
     if args.breakdown:
-        result["per_k"] = [str(v) for v in sigma(args.n, args.m).per_k]
+        result["per_k"] = [str(v) for v in counted.per_k]
 
     _emit("count", {"n": args.n, "m": args.m, "method": args.method, "breakdown": args.breakdown},
           result, args.timestamp)
@@ -256,10 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on first use, then reused by every call in the process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:

@@ -120,7 +120,8 @@ def enumerate_all(
         return iter(())
     if limit == 0:
         return iter(())
-    _cap_check(count_spanning_trees_det(g), limit, cap)
+    if cap is not None:  # the exact count is needed only to enforce the cap
+        _cap_check(count_spanning_trees_det(g), limit, cap)
     return _backtrack_trees(g, limit)
 
 

@@ -1,10 +1,16 @@
 """Spanning-tree counts from the graph Laplacian (the matrix tree theorem).
 
 count_spanning_trees_det is the production path: the determinant of a first
-minor of the Laplacian, computed with fraction-free integer elimination so
-the result is exact at any magnitude.  eigenvalue_product_estimate keeps the
-theorem's eigenvalue form around as a floating-point cross-check on small
-graphs.
+minor of the Laplacian, exact at any magnitude.  When the graph minus the
+deleted vertex is one cycle through every other vertex (J(n, m) with its hub
+deleted, the default), the minor taken in cycle order is cyclic tridiagonal:
+the degrees on the diagonal, -1 on the off-diagonals and in both corners.
+Its determinant is trace(prod_i [[d_i, -1], [1, 0]]) - 2, a product of 2x2
+integer matrices in |V| - 1 steps, with no dense matrix built.  Every other
+graph or deleted vertex takes fraction-free (Bareiss) elimination of the
+dense minor, O(|V|^3), refused above BAREISS_GUARD vertices.
+eigenvalue_product_estimate keeps the theorem's eigenvalue form around as a
+floating-point cross-check on small graphs.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from .errors import GraphValidationError, SizeGuardError
 from .graph_core import LabeledGraph, is_connected, laplacian_matrix
 
 EIGEN_GUARD = 64  # dense eigensolve allowed up to this many vertices
+BAREISS_GUARD = 400  # dense Bareiss elimination allowed up to this many vertices
 
 
 def _det_fraction_free(a: list[list[int]]) -> int:
@@ -46,6 +53,50 @@ def _det_fraction_free(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _laplacian_minor(g: LabeledGraph, deleted_vertex: int) -> list[list[int]]:
+    """The dense Laplacian without deleted_vertex's row and column."""
+    lap = laplacian_matrix(g).entries
+    keep = [i for i in range(g.vertex_count) if i != deleted_vertex]
+    return [[lap[i][j] for j in keep] for i in keep]
+
+
+def _cycle_order(g: LabeledGraph, deleted_vertex: int) -> list[int] | None:
+    """The vertices of g minus deleted_vertex in cycle order, when they form
+    one cycle through all of them; None otherwise."""
+    nv = g.vertex_count
+    if nv < 4:  # a simple graph has no cycle on fewer than 3 vertices
+        return None
+    nbrs: list[list[int]] = [[] for _ in range(nv)]
+    for u, v in g.edges:
+        if deleted_vertex != u and deleted_vertex != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    if any(len(nbrs[x]) != 2 for x in range(nv) if x != deleted_vertex):
+        return None
+    start = 1 if deleted_vertex == 0 else 0
+    order = [start]
+    prev, cur = start, nbrs[start][0]
+    while cur != start:
+        order.append(cur)
+        a, b = nbrs[cur]
+        prev, cur = cur, (b if a == prev else a)
+    return order if len(order) == nv - 1 else None
+
+
+def _det_cycle_minor(diagonal: list[int]) -> int:
+    """Determinant of the cyclic tridiagonal matrix with the given diagonal
+    and -1 on the off-diagonals and in both corners (order 3 or more).
+
+    Equal to trace(T_1 ... T_k) - 2 with T_i = [[d_i, -1], [1, 0]]; the
+    product is accumulated one right-multiplication at a time.
+    """
+    p00, p01, p10, p11 = 1, 0, 0, 1
+    for d in diagonal:
+        p00, p01 = p00 * d + p01, -p00
+        p10, p11 = p10 * d + p11, -p10
+    return p00 + p11 - 2
+
+
 def count_spanning_trees_det(g: LabeledGraph, deleted_vertex: int = 0) -> int:
     """Exact spanning-tree count of a simple graph.
 
@@ -54,16 +105,23 @@ def count_spanning_trees_det(g: LabeledGraph, deleted_vertex: int = 0) -> int:
     is deleted; index 0 is the default purely for reproducibility.  A graph
     on one vertex counts 1 (the empty tree); a disconnected graph counts 0,
     which falls out of the singular minor rather than being special-cased.
+    When g minus deleted_vertex is one cycle, the count costs O(|V|)
+    big-integer steps; any other minor is eliminated densely, and graphs
+    above BAREISS_GUARD vertices are refused with SizeGuardError.
     """
     nv = g.vertex_count
     if not (0 <= deleted_vertex < nv):
         raise ValueError(f"deleted_vertex {deleted_vertex} out of range")
     if nv == 1:
         return 1
-    lap = laplacian_matrix(g).entries
-    keep = [i for i in range(nv) if i != deleted_vertex]
-    minor = [[lap[i][j] for j in keep] for i in keep]
-    return _det_fraction_free(minor)
+    order = _cycle_order(g, deleted_vertex)
+    if order is not None:
+        deg = g.degrees()
+        return _det_cycle_minor([deg[x] for x in order])
+    if nv > BAREISS_GUARD:
+        raise SizeGuardError(
+            f"Bareiss determinant limited to {BAREISS_GUARD} vertices (got {nv})")
+    return _det_fraction_free(_laplacian_minor(g, deleted_vertex))
 
 
 def eigenvalue_product_estimate(g: LabeledGraph, guard: int = EIGEN_GUARD) -> float:

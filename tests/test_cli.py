@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from jahangir import sigma
 from jahangir.cli import main
 
 
@@ -31,6 +32,23 @@ class TestCount:
                                           "--method", "kirchhoff"])
         assert code == 0
         assert payload["result"]["total"] == "192"
+
+    def test_method_kirchhoff_large(self, capsys):
+        code, payload = run_json(capsys, ["count", "--n", "100", "--m", "100",
+                                          "--method", "kirchhoff"])
+        assert code == 0
+        assert payload["result"]["total"] == str(sigma(100, 100).total)
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        import jahangir.cli as cli_mod
+
+        built = []
+        monkeypatch.setattr(cli_mod, "_parser", None)
+        monkeypatch.setattr(cli_mod, "build_parser",
+                            lambda real=cli_mod.build_parser: built.append(1) or real())
+        assert main(["coeffs", "--m", "3"]) == 0
+        assert main(["coeffs", "--m", "4"]) == 0
+        assert built == [1]
 
     def test_method_enumerate(self, capsys):
         code, payload = run_json(capsys, ["count", "--n", "2", "--m", "4",

@@ -3,6 +3,8 @@ import pytest
 from jahangir import (
     EnumerationCapError,
     JahangirParams,
+    LabeledGraph,
+    SizeGuardError,
     SpanningTree,
     build_jahangir,
     count_spanning_trees_det,
@@ -80,6 +82,12 @@ class TestEnumerateAll:
 
     def test_cap_disabled(self, k4):
         assert len(list(enumerate_all(k4, cap=None))) == 16
+
+    def test_cap_needs_a_count_within_the_bareiss_guard(self):
+        path = LabeledGraph(401, tuple((i, i + 1) for i in range(400)))
+        with pytest.raises(SizeGuardError, match="401"):
+            enumerate_all(path)
+        assert len(list(enumerate_all(path, cap=None))) == 1
 
 
 class TestEnumerateJahangir:

@@ -1,11 +1,10 @@
-"""Byte-identical CLI stdout for the pinned count, coeffs, table and ratios queries.
+"""Byte-identical CLI stdout for every pinned query.
 
 perfbench/seed_digests.json maps each pinned argv (joined with spaces) to
 the sha256 of the stdout the seed program printed for it, with the Python
 and numpy versions in the JSON envelope masked as "*".  This test replays
-those argv through cli.main and compares digests.  The Kirchhoff-method
-counts are left out: their determinants at |V| up to 601 take minutes,
-and no code they run is shared with the combinatorial count path.
+every one of those argv through cli.main, all seven commands and the
+Kirchhoff counts included, and compares digests.
 """
 
 import hashlib
@@ -17,7 +16,7 @@ from pathlib import Path
 from jahangir.cli import main
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "seed_digests.json"
-COMMANDS = ("count", "coeffs", "table", "ratios")
+COMMANDS = ("count", "coeffs", "enumerate", "cycles", "table", "ratios", "graph")
 VERSION_KEYS = (b'"python": "', b'"numpy": "')
 
 
@@ -32,9 +31,7 @@ def mask_versions(data: bytes) -> bytes:
 
 
 def pinned():
-    digests = json.loads(DIGESTS.read_text())["digests"]
-    return {key: digest for key, digest in digests.items()
-            if key.split()[0] in COMMANDS and "--method kirchhoff" not in key}
+    return json.loads(DIGESTS.read_text())["digests"]
 
 
 def test_pinned_queries_cover_every_command():

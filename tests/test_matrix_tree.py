@@ -8,7 +8,14 @@ from jahangir import (
     build_jahangir,
     count_spanning_trees_det,
     eigenvalue_product_estimate,
+    sigma,
+    sigma_table,
 )
+from jahangir import matrix_tree
+
+
+def no_laplacian(g):
+    raise AssertionError("dense Laplacian built")
 
 
 class TestDeterminantCount:
@@ -62,6 +69,19 @@ class TestDeterminantCount:
         g = build_jahangir(JahangirParams(5, 8))
         assert count_spanning_trees_det(g) == 4870845
 
+    def test_cycle_minor_needs_no_dense_matrix(self, monkeypatch):
+        # 10001 vertices: only the hub-deleted cycle minor makes this cheap
+        monkeypatch.setattr(matrix_tree, "laplacian_matrix", no_laplacian)
+        g = build_jahangir(JahangirParams(100, 100))
+        assert count_spanning_trees_det(g) == sigma_table(100, 100)[-1][1]
+
+    def test_bareiss_size_guard(self, monkeypatch):
+        # 601 vertices; G - 5 is no cycle, so this needs the dense minor
+        monkeypatch.setattr(matrix_tree, "laplacian_matrix", no_laplacian)
+        g = build_jahangir(JahangirParams(30, 20))
+        with pytest.raises(SizeGuardError, match="601"):
+            count_spanning_trees_det(g, deleted_vertex=5)
+        assert count_spanning_trees_det(g) == sigma(30, 20).total
 
 
 class TestEigenvalueEstimate:

@@ -2,27 +2,67 @@
 
 The closed forms in combinatorics (A_k and the recurrence) are checked
 against the spoke-subset census they summarise and against the matrix tree
-theorem on the built graph.
+theorem on the built graph.  The matrix tree theorem's cycle-minor path is
+checked against Bareiss elimination of the explicit minor, and its Bareiss
+fallback against the generic enumerator.
 """
+
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jahangir import (
     JahangirParams,
+    LabeledGraph,
     build_jahangir,
     class_census,
     class_contribution,
     count_spanning_trees_det,
+    enumerate_all,
     polynomial_coefficients,
     sigma,
     sigma_k,
     sigma_table,
 )
+from jahangir.matrix_tree import _cycle_order, _det_fraction_free, _laplacian_minor
 
 
 def census_sum(n, m, k):
     return sum(mult * class_contribution(n, sig) for sig, mult in class_census(m, k))
+
+
+def explicit_minor_det(g, deleted_vertex):
+    return _det_fraction_free(_laplacian_minor(g, deleted_vertex))
+
+
+@st.composite
+def apex_plus_rim(draw, rim_edges, rim_size):
+    """An apex joined to a random subset of a rim, labels shuffled.
+
+    Returns the graph, the apex's label and the number of spokes."""
+    labels = draw(st.permutations(range(rim_size + 1)))
+    apex, rim = labels[0], labels[1:]
+    spokes = draw(st.sets(st.sampled_from(rim)))
+    edges = [(rim[a], rim[b]) for a, b in rim_edges] + [(apex, r) for r in spokes]
+    return LabeledGraph(rim_size + 1, tuple(draw(st.permutations(edges)))), apex, len(spokes)
+
+
+@st.composite
+def apex_plus_cycle(draw):
+    k = draw(st.integers(3, 14))
+    return draw(apex_plus_rim([(i, (i + 1) % k) for i in range(k)], k))
+
+
+@st.composite
+def apex_plus_path_or_two_cycles(draw):
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 8))
+        return draw(apex_plus_rim([(i, i + 1) for i in range(k - 1)], k))
+    a, b = draw(st.integers(3, 4)), draw(st.integers(3, 4))
+    rim_edges = [(i, (i + 1) % a) for i in range(a)] + [
+        (a + i, a + (i + 1) % b) for i in range(b)]
+    return draw(apex_plus_rim(rim_edges, a + b))
 
 
 @st.composite
@@ -56,4 +96,29 @@ def test_per_k_sums_to_recurrence_total(n, m):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 6), st.integers(3, 8))
 def test_sigma_equals_kirchhoff(n, m):
-    assert sigma(n, m).total == count_spanning_trees_det(build_jahangir(JahangirParams(n, m)))
+    # the hub-deleted minor is a cycle: checked against its dense elimination too
+    g = build_jahangir(JahangirParams(n, m))
+    assert _cycle_order(g, 0) is not None
+    assert sigma(n, m).total == count_spanning_trees_det(g) == explicit_minor_det(g, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(apex_plus_cycle())
+def test_cycle_minor_equals_bareiss_on_apex_plus_cycle(case):
+    g, apex, spokes = case
+    assert _cycle_order(g, apex) is not None
+    count = count_spanning_trees_det(g, deleted_vertex=apex)
+    assert count == explicit_minor_det(g, apex)
+    if spokes == 0:
+        assert count == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(apex_plus_path_or_two_cycles())
+def test_bareiss_fallback_equals_enumeration(case):
+    g, apex, _ = case
+    assert _cycle_order(g, apex) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # disconnected: no trees
+        listed = sum(1 for _ in enumerate_all(g, cap=None))
+    assert count_spanning_trees_det(g, deleted_vertex=apex) == listed
