@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError, SizeGuardError
-from .graph_core import JahangirParams, LabeledGraph, build_jahangir
+from .graph_core import JahangirParams, LabeledGraph, build_jahangir, rim_arc_edges, spoke_edge
 
 VERIFY_GUARD = 8  # generic cycle enumeration is exponential; keep it small
 
@@ -103,18 +103,15 @@ def census_j2m(m: int) -> list[CycleRecord]:
     """
     if m < 3:
         raise ParameterDomainError(f"m must be >= 3 (got {m})")
-    n = 2
-    g = build_jahangir(JahangirParams(n, m))
-    nm = n * m
+    params = JahangirParams(2, m)
+    g = build_jahangir(params)
     records = []
     for k in range(1, m + 1):
         for start in range(1, m + 1):
             span = tuple((start - 1 + t) % m + 1 for t in range(k))
             first, last = span[0], (span[-1] % m) + 1
-            steps = nm if k == m else k * n
-            base = (first - 1) * n
-            rim = sorted((base + t) % nm for t in range(steps))
-            spokes = {nm + first - 1, nm + last - 1}  # one element when k == m
+            rim = rim_arc_edges(params, first, k)
+            spokes = {spoke_edge(params, first), spoke_edge(params, last)}  # one element when k == m
             edges = tuple(rim + sorted(spokes))
             records.append(
                 CycleRecord(

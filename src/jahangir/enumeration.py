@@ -5,7 +5,8 @@ Two independent producers:
 * enumerate_all walks any simple connected graph with include/exclude
   backtracking over the edge list.  It is the validation oracle: slow but
   graph-agnostic, yielding trees in lexicographic order of their sorted
-  edge-index tuples.
+  edge-index tuples.  The search is one loop over one union-find with an
+  undo trail, with no recursion, so it has no depth limit.
 
 * enumerate_jahangir builds each tree of J(n, m) directly, no search: pick
   a nonempty spoke subset, then delete exactly one rim edge from each arc
@@ -14,19 +15,20 @@ Two independent producers:
   product comes from.
 
 Both refuse up front (EnumerationCapError) when the full run would exceed
-the safety cap, computed from the exact count before any tree is built.
+the safety cap, computed from the exact count before any tree is built,
+and both apply limit by slicing the stream.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Optional
 
 from .combinatorics import sigma
 from .errors import EnumerationCapError
-from .graph_core import JahangirParams, LabeledGraph, is_connected
+from .graph_core import JahangirParams, LabeledGraph, is_connected, rim_arc_edges, spoke_edge
 from .matrix_tree import count_spanning_trees_det
 
 DEFAULT_TREE_CAP = 10_000_000
@@ -122,66 +124,40 @@ def enumerate_all(
         return iter(())
     if cap is not None:  # the exact count is needed only to enforce the cap
         _cap_check(count_spanning_trees_det(g), limit, cap)
-    return _backtrack_trees(g, limit)
+    return islice(_backtrack_trees(g), limit)
 
 
-def _backtrack_trees(g: LabeledGraph, limit: Optional[int]) -> Iterator[SpanningTree]:
-    nv = g.vertex_count
-    ne = len(g.edges)
-    need = nv - 1
-    uf = _UnionFind(nv)
+def _backtrack_trees(g: LabeledGraph) -> Iterator[SpanningTree]:
+    # Include/exclude search over edge indices, include first, so trees come
+    # out in lexicographic order.  Invariant: the chosen edges plus edges[i:]
+    # span g, so taking every edge that joins two components completes a tree.
+    edges, need = g.edges, g.vertex_count - 1
+    uf = _UnionFind(g.vertex_count)
     chosen: list[int] = []
-    yielded = 0
-
-    def feasible(start: int) -> bool:
-        # can the current components still be joined using edges[start:]?
-        roots = [uf.find(v) for v in range(nv)]
-        missing = len(set(roots)) - 1
-        if missing == 0:
-            return True
-        scratch: dict[int, int] = {}
-
-        def top(x: int) -> int:
-            while scratch.get(x, x) != x:
-                x = scratch[x]
-            return x
-
-        for u, v in g.edges[start:]:
-            ru, rv = top(roots[u]), top(roots[v])
-            if ru != rv:
-                scratch[rv] = ru
-                missing -= 1
-                if missing == 0:
-                    return True
-        return False
-
-    def walk(i: int) -> Iterator[SpanningTree]:
-        nonlocal yielded
-        if len(chosen) == need:
-            yielded += 1
-            yield SpanningTree(tuple(chosen))
-            return
-        if i == ne or ne - i < need - len(chosen):
-            return
-        u, v = g.edges[i]
-        if uf.union(u, v):
-            chosen.append(i)
-            yield from walk(i + 1)
-            chosen.pop()
+    i = 0
+    while True:
+        while len(chosen) < need:
+            if uf.union(*edges[i]):
+                chosen.append(i)
+            i += 1
+        yield SpanningTree(tuple(chosen))
+        # the last taken edge may be left out only if the later edges can
+        # still span; union them into uf to find out, then undo them
+        while chosen:
+            i = chosen.pop()
             uf.undo()
-            if limit is not None and yielded >= limit:
-                return
-        # skipping edge i is only worth exploring if connectivity survives
-        if feasible(i + 1):
-            yield from walk(i + 1)
-
-    def run() -> Iterator[SpanningTree]:
-        for tree in walk(0):
-            yield tree
-            if limit is not None and yielded >= limit:
-                return
-
-    return run()
+            merged = len(chosen)
+            for u, v in edges[i + 1:]:
+                if merged == need:
+                    break
+                merged += uf.union(u, v)
+            for _ in range(merged - len(chosen)):
+                uf.undo()
+            if merged == need:
+                i += 1
+                break
+        else:
+            return
 
 
 def _lex_spoke_subsets(m: int) -> Iterator[tuple[int, ...]]:
@@ -211,32 +187,16 @@ def enumerate_jahangir(
     if limit == 0:
         return iter(())
     _cap_check(sigma(params.n, params.m).total, limit, cap)
-    return _structured_trees(params, limit)
+    return islice(_structured_trees(params), limit)
 
 
-def _structured_trees(params: JahangirParams, limit: Optional[int]) -> Iterator[SpanningTree]:
-    n, m = params.n, params.m
-    nm = n * m
-    all_rim = set(range(nm))
-    yielded = 0
-
-    def arc_edges(j: int, j_next: int) -> list[int]:
-        # rim edge indices from spoke j's attachment forward to spoke j_next's
-        steps = ((j_next - j - 1) % m + 1) * n
-        start = (j - 1) * n  # edge index leaving attachment vertex (j-1)*n + 1
-        return sorted((start + t) % nm for t in range(steps))
-
-    def run() -> Iterator[SpanningTree]:
-        nonlocal yielded
-        for subset in _lex_spoke_subsets(m):
-            k = len(subset)
-            arcs = [arc_edges(subset[i], subset[(i + 1) % k]) for i in range(k)]
-            spoke_edges = [nm + j - 1 for j in subset]
-            for deletion in product(*arcs):
-                kept_rim = all_rim.difference(deletion)
-                yield SpanningTree(tuple(sorted(kept_rim)) + tuple(spoke_edges))
-                yielded += 1
-                if limit is not None and yielded >= limit:
-                    return
-
-    return run()
+def _structured_trees(params: JahangirParams) -> Iterator[SpanningTree]:
+    all_rim = set(range(params.n * params.m))
+    for subset in _lex_spoke_subsets(params.m):
+        k = len(subset)
+        # the rim from spoke j forward to the next kept spoke (all of it when k == 1)
+        arcs = [rim_arc_edges(params, j, (subset[(i + 1) % k] - j - 1) % params.m + 1)
+                for i, j in enumerate(subset)]
+        spoke_edges = tuple(spoke_edge(params, j) for j in subset)
+        for deletion in product(*arcs):
+            yield SpanningTree(tuple(sorted(all_rim.difference(deletion))) + spoke_edges)

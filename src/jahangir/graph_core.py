@@ -129,6 +129,19 @@ def build_jahangir(params: JahangirParams) -> LabeledGraph:
     return LabeledGraph(nm + 1, tuple(edges))
 
 
+def rim_arc_edges(params: JahangirParams, j: int, arcs: int) -> list[int]:
+    """Sorted indices of the rim edges on `arcs` consecutive arcs, starting
+    at spoke j's rim vertex and going forward; arcs = m is the whole rim."""
+    nm = params.n * params.m
+    start = (j - 1) * params.n  # the edge leaving rim vertex (j-1)*n + 1
+    return sorted((start + t) % nm for t in range(arcs * params.n))
+
+
+def spoke_edge(params: JahangirParams, j: int) -> int:
+    """Edge index of spoke j (1..m)."""
+    return params.n * params.m + j - 1
+
+
 def adjacency_matrix(g: LabeledGraph) -> IntegerMatrix:
     """Symmetric 0/1 matrix with zero diagonal."""
     nv = g.vertex_count

@@ -88,6 +88,13 @@ class TestEnumerateAll:
         with pytest.raises(SizeGuardError, match="401"):
             enumerate_all(path)
         assert len(list(enumerate_all(path, cap=None))) == 1
+        # the search keeps no stack frame per edge, so depth is unbounded
+        long_path = LabeledGraph(1500, tuple((i, i + 1) for i in range(1499)))
+        assert len(list(enumerate_all(long_path, cap=None))) == 1
+
+    def test_first_tree_of_a_deep_jahangir_graph(self):
+        g = build_jahangir(JahangirParams(400, 3))
+        assert verify_spanning_tree(g, next(enumerate_all(g, cap=None)))
 
 
 class TestEnumerateJahangir:

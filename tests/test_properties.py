@@ -4,10 +4,12 @@ The closed forms in combinatorics (A_k and the recurrence) are checked
 against the spoke-subset census they summarise and against the matrix tree
 theorem on the built graph.  The matrix tree theorem's cycle-minor path is
 checked against Bareiss elimination of the explicit minor, and its Bareiss
-fallback against the generic enumerator.
+fallback against the generic enumerator.  The generic enumerator is checked
+tree by tree against a filter over all (|V| - 1)-edge subsets.
 """
 
 import warnings
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from jahangir import (
     JahangirParams,
     LabeledGraph,
+    SpanningTree,
     build_jahangir,
     class_census,
     class_contribution,
@@ -24,6 +27,7 @@ from jahangir import (
     sigma,
     sigma_k,
     sigma_table,
+    verify_spanning_tree,
 )
 from jahangir.matrix_tree import _cycle_order, _det_fraction_free, _laplacian_minor
 
@@ -63,6 +67,19 @@ def apex_plus_path_or_two_cycles(draw):
     rim_edges = [(i, (i + 1) % a) for i in range(a)] + [
         (a + i, a + (i + 1) % b) for i in range(b)]
     return draw(apex_plus_rim(rim_edges, a + b))
+
+
+@st.composite
+def connected_graph(draw):
+    """A random tree on up to 6 vertices plus random extra edges, with
+    shuffled labels and edge order."""
+    nv = draw(st.integers(1, 6))
+    label = draw(st.permutations(range(nv)))
+    pairs = [(u, v) for v in range(nv) for u in range(v)]
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    extra = [p for p in pairs if p not in tree and draw(st.booleans())]
+    edges = [(label[u], label[v]) for u, v in tree + extra]
+    return LabeledGraph(nv, tuple(draw(st.permutations(edges))))
 
 
 @st.composite
@@ -122,3 +139,12 @@ def test_bareiss_fallback_equals_enumeration(case):
         warnings.simplefilter("ignore", RuntimeWarning)  # disconnected: no trees
         listed = sum(1 for _ in enumerate_all(g, cap=None))
     assert count_spanning_trees_det(g, deleted_vertex=apex) == listed
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graph(), st.integers(0, 80))
+def test_enumerate_all_equals_filtered_combinations(g, k):
+    subsets = map(SpanningTree, combinations(range(g.edge_count), g.vertex_count - 1))
+    expected = [t for t in subsets if verify_spanning_tree(g, t)]
+    assert list(enumerate_all(g)) == expected
+    assert list(enumerate_all(g, limit=k)) == expected[:k]
