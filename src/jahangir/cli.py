@@ -5,8 +5,13 @@ command name, echoed parameters, result, engine versions.  Counts that can
 exceed JSON's safe integer range are serialized as decimal strings.  Output
 is deterministic; an optional timestamp field is off by default.
 
+The tree list of `enumerate` and the edge list of `graph` stream: the rest
+of the envelope is rendered once, then the rows are written in chunks as
+they are produced, byte-identical to json.dumps(indent=2) of the whole.
+
 Exit codes: 0 success, 2 parameter or validation problem, 3 enumeration cap
-exceeded, 4 counting engines disagree under --method all.
+exceeded, 4 counting engines disagree under --method all, or a listing's
+length differs from the count announced before it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import os
 import platform
 import sys
 from datetime import datetime, timezone
+from itertools import islice
+from operator import attrgetter
 
 from . import __version__
 from .asymptotics import ratio_series
@@ -47,7 +54,14 @@ def _engine_versions() -> dict:
     return _ENGINE_VERSIONS
 
 
-def _emit(command: str, parameters: dict, result, timestamp: bool):
+def _emit(command: str, parameters: dict, result, timestamp: bool,
+          rows=None, labels: int = 0) -> int:
+    """Print the envelope as json.dumps(indent=2) would.
+
+    With rows, result's last field must hold []: the rows (nonempty lists
+    of ints in range(labels)) are streamed in its place, and their number
+    is returned.  No list of all rows is built.
+    """
     envelope = {
         "command": command,
         "parameters": parameters,
@@ -56,7 +70,35 @@ def _emit(command: str, parameters: dict, result, timestamp: bool):
     }
     if timestamp:
         envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(envelope, indent=2))
+    text = json.dumps(envelope, indent=2)
+    if rows is None:
+        print(text)
+        return 0
+    key = f'"{next(reversed(result))}": '
+    head, _, tail = text.partition(key + "[]")
+    write = sys.stdout.write
+    write(head + key + "[")
+    written = _write_rows(write, rows, labels)
+    write(("\n    ]" if written else "]") + tail + "\n")
+    return written
+
+
+_ROWS_PER_WRITE = 256
+
+
+def _write_rows(write, rows, labels: int) -> int:
+    # A result field's rows sit three levels deep: each row opens on a line
+    # of its own at indent 6, and each int takes a line at indent 8.  The
+    # int lines are rendered once, so a row costs one join.
+    label = ["\n        " + str(i) for i in range(labels)].__getitem__
+    rows = iter(rows)
+    written = 0
+    while chunk := list(islice(rows, _ROWS_PER_WRITE)):
+        write(("," if written else "") + "\n      ["
+              + "\n      ],\n      [".join([",".join(map(label, row)) for row in chunk])
+              + "\n      ]")
+        written += len(chunk)
+    return written
 
 
 def _cmd_count(args) -> int:
@@ -106,7 +148,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_enumerate(args) -> int:
     params = JahangirParams(args.n, args.m)
     cap = None if args.allow_huge else DEFAULT_TREE_CAP
-    trees = list(enumerate_jahangir(params, limit=args.limit, cap=cap))
+    trees = enumerate_jahangir(params, limit=args.limit, cap=cap)  # refusals come first
     if args.format == "dot":
         g = build_jahangir(params)
         for i, t in enumerate(trees):
@@ -114,15 +156,19 @@ def _cmd_enumerate(args) -> int:
                 sys.stdout.write("\n")
             sys.stdout.write(to_dot(g, set(t.edge_indices), name=f"tree_{i}"))
         return 0
-    result = {
-        "n": args.n,
-        "m": args.m,
-        "limit": args.limit,
-        "count": len(trees),
-        "trees": [list(t.edge_indices) for t in trees],
-    }
-    _emit("enumerate", {"n": args.n, "m": args.m, "limit": args.limit, "format": args.format},
-          result, args.timestamp)
+    # count precedes trees in the envelope, so it is announced from the
+    # closed form (not computed at all for --limit 0) and checked afterwards
+    count = 0 if args.limit == 0 else sigma(args.n, args.m).total
+    if args.limit is not None:
+        count = min(count, args.limit)
+    result = {"n": args.n, "m": args.m, "limit": args.limit, "count": count, "trees": []}
+    written = _emit("enumerate",
+                    {"n": args.n, "m": args.m, "limit": args.limit, "format": args.format},
+                    result, args.timestamp,
+                    map(attrgetter("edge_indices"), trees), params.edge_count)
+    if written != count:
+        print(f"error: listed {written} trees, announced {count}", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -192,10 +238,10 @@ def _cmd_graph(args) -> int:
         "m": args.m,
         "vertex_count": g.vertex_count,
         "edge_count": g.edge_count,
-        "edges": [[u, v] for u, v in g.edges],
+        "edges": [],
     }
     _emit("graph", {"n": args.n, "m": args.m, "format": args.format},
-          result, args.timestamp)
+          result, args.timestamp, g.edges, g.vertex_count)
     return 0
 
 

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
+from itertools import islice
 
 import pytest
 
@@ -166,6 +169,38 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert code == 3
         assert "cap" in captured.err
+
+    def test_short_listing_exits_4(self, capsys, monkeypatch):
+        # count is printed before the trees, so a listing that falls short
+        # of it is reported after the fact
+        import jahangir.cli as cli_mod
+
+        real = cli_mod.enumerate_jahangir
+        monkeypatch.setattr(cli_mod, "enumerate_jahangir",
+                            lambda *a, **kw: islice(real(*a, **kw), 1, None))
+        code = main(["enumerate", "--n", "2", "--m", "3"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        payload = json.loads(captured.out)
+        assert payload["result"]["count"] == 50
+        assert len(payload["result"]["trees"]) == 49
+
+    def test_listing_memory_flat_in_tree_count(self):
+        class Discard:
+            def write(self, s):
+                return len(s)
+
+        argv = ["enumerate", "--n", "2", "--m", "7"]  # 10 082 trees, 1.8 MB of JSON
+        with redirect_stdout(Discard()):
+            assert main(argv) == 0  # warm-up: parser, engine versions
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_dot_stream_survives_closed_pipe(self):
         # a consumer that stops reading early (head, a pager) must not

@@ -5,10 +5,15 @@ against the spoke-subset census they summarise and against the matrix tree
 theorem on the built graph.  The matrix tree theorem's cycle-minor path is
 checked against Bareiss elimination of the explicit minor, and its Bareiss
 fallback against the generic enumerator.  The generic enumerator is checked
-tree by tree against a filter over all (|V| - 1)-edge subsets.
+tree by tree against a filter over all (|V| - 1)-edge subsets.  The CLI's
+streamed listings are checked byte for byte against json.dumps(indent=2)
+of the envelope built in one piece.
 """
 
+import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -17,18 +22,21 @@ from hypothesis import strategies as st
 from jahangir import (
     JahangirParams,
     LabeledGraph,
+    ParameterDomainError,
     SpanningTree,
     build_jahangir,
     class_census,
     class_contribution,
     count_spanning_trees_det,
     enumerate_all,
+    enumerate_jahangir,
     polynomial_coefficients,
     sigma,
     sigma_k,
     sigma_table,
     verify_spanning_tree,
 )
+from jahangir.cli import _engine_versions, main
 from jahangir.matrix_tree import _cycle_order, _det_fraction_free, _laplacian_minor
 
 
@@ -148,3 +156,75 @@ def test_enumerate_all_equals_filtered_combinations(g, k):
     expected = [t for t in subsets if verify_spanning_tree(g, t)]
     assert list(enumerate_all(g)) == expected
     assert list(enumerate_all(g, limit=k)) == expected[:k]
+
+
+# Trees the one-piece reference renders in about a second and a half: only
+# the full listing of J(4, 7), 228 484 trees, is larger, and it is drawn
+# with a limit instead.
+LISTING_BUDGET = 60_000
+
+
+def run_cli(argv):
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def mask_timestamp(text):
+    head, key, rest = text.partition('"timestamp": "')
+    return head + key + "*" + rest[rest.index('"'):] if key else text
+
+
+def one_piece(command, parameters, result, timestamp):
+    envelope = {"command": command, "parameters": parameters, "result": result,
+                "engine_versions": _engine_versions()}
+    if timestamp:
+        envelope["timestamp"] = "*"
+    return json.dumps(envelope, indent=2) + "\n"
+
+
+@st.composite
+def listing_query(draw):
+    """(n, m, limit, timestamp): n = 1 is refused, limits reach past sigma."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(3, 7))
+    total = sigma(n, m).total if n >= 2 else 0
+    limits = [st.just(0), st.just(1), st.integers(0, min(total, LISTING_BUDGET))]
+    if total <= LISTING_BUDGET:
+        limits += [st.none(), st.integers(total + 1, total + 100)]
+    return n, m, draw(st.one_of(limits)), draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(listing_query())
+def test_streamed_enumerate_equals_one_piece_json(query):
+    n, m, limit, timestamp = query
+    argv = ["enumerate", "--n", str(n), "--m", str(m)]
+    argv = (["--timestamp"] if timestamp else []) + argv
+    code, out = run_cli(argv + ([] if limit is None else ["--limit", str(limit)]))
+    try:
+        trees = [list(t.edge_indices) for t in enumerate_jahangir(JahangirParams(n, m), limit)]
+    except ParameterDomainError:
+        assert (code, out) == (2, "")
+        return
+    result = {"n": n, "m": m, "limit": limit, "count": len(trees), "trees": trees}
+    parameters = {"n": n, "m": m, "limit": limit, "format": "json"}
+    assert code == 0
+    assert mask_timestamp(out) == one_piece("enumerate", parameters, result, timestamp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(3, 60), st.booleans())
+def test_streamed_graph_equals_one_piece_json(n, m, timestamp):
+    argv = ["graph", "--n", str(n), "--m", str(m), "--format", "json"]
+    code, out = run_cli((["--timestamp"] if timestamp else []) + argv)
+    try:
+        g = build_jahangir(JahangirParams(n, m))
+    except ParameterDomainError:
+        assert (code, out) == (2, "")
+        return
+    result = {"n": n, "m": m, "vertex_count": g.vertex_count, "edge_count": g.edge_count,
+              "edges": [[u, v] for u, v in g.edges]}
+    parameters = {"n": n, "m": m, "format": "json"}
+    assert code == 0
+    assert mask_timestamp(out) == one_piece("graph", parameters, result, timestamp)
