@@ -5,9 +5,11 @@ command name, echoed parameters, result, engine versions.  Counts that can
 exceed JSON's safe integer range are serialized as decimal strings.  Output
 is deterministic; an optional timestamp field is off by default.
 
-The tree list of `enumerate` and the edge list of `graph` stream: the rest
-of the envelope is rendered once, then the rows are written in chunks as
-they are produced, byte-identical to json.dumps(indent=2) of the whole.
+Three listings stream: the trees of `enumerate`, the edges of `graph` and
+the records of `cycles`.  The rest of the envelope is rendered once, then
+the rows are written in chunks as they are produced, byte-identical to
+json.dumps(indent=2) of the whole.  `enumerate --format dot` draws each
+tree with one DOT renderer made once for the host graph.
 
 Exit codes: 0 success, 2 parameter or validation problem, 3 enumeration cap
 exceeded, 4 counting engines disagree under --method all, or a listing's
@@ -28,15 +30,10 @@ from operator import attrgetter
 from . import __version__
 from .asymptotics import ratio_series
 from .combinatorics import polynomial_coefficients, sigma, sigma_table
-from .cycles import census_j2m
+from .cycles import census_records
 from .enumeration import DEFAULT_TREE_CAP, enumerate_all, enumerate_jahangir
-from .errors import (
-    EnumerationCapError,
-    GraphValidationError,
-    ParameterDomainError,
-    SizeGuardError,
-)
-from .graph_core import JahangirParams, build_jahangir, to_dot
+from .errors import EnumerationCapError
+from .graph_core import JahangirParams, build_jahangir, dot_renderer, to_dot
 from .matrix_tree import count_spanning_trees_det
 
 
@@ -55,12 +52,14 @@ def _engine_versions() -> dict:
 
 
 def _emit(command: str, parameters: dict, result, timestamp: bool,
-          rows=None, labels: int = 0) -> int:
+          rows=None, render=None, labels: int = 0) -> int:
     """Print the envelope as json.dumps(indent=2) would.
 
-    With rows, result's last field must hold []: the rows (nonempty lists
-    of ints in range(labels)) are streamed in its place, and their number
-    is returned.  No list of all rows is built.
+    With rows, result's last field must hold []: the rows are streamed in
+    its place, and their number is returned.  No list of all rows is built.
+    render(chunk, label) gives the text of a chunk of rows, label(i) the
+    text of an int i in range(labels).  The streamed listings are
+    enumerate's trees, graph's edges and cycles' records.
     """
     envelope = {
         "command": command,
@@ -78,7 +77,7 @@ def _emit(command: str, parameters: dict, result, timestamp: bool,
     head, _, tail = text.partition(key + "[]")
     write = sys.stdout.write
     write(head + key + "[")
-    written = _write_rows(write, rows, labels)
+    written = _write_rows(write, rows, render, labels)
     write(("\n    ]" if written else "]") + tail + "\n")
     return written
 
@@ -86,19 +85,35 @@ def _emit(command: str, parameters: dict, result, timestamp: bool,
 _ROWS_PER_WRITE = 256
 
 
-def _write_rows(write, rows, labels: int) -> int:
-    # A result field's rows sit three levels deep: each row opens on a line
-    # of its own at indent 6, and each int takes a line at indent 8.  The
-    # int lines are rendered once, so a row costs one join.
-    label = ["\n        " + str(i) for i in range(labels)].__getitem__
+def _write_rows(write, rows, render, labels: int) -> int:
+    # the ints are rendered once, so a list of them costs one join
+    label = [str(i) for i in range(labels)].__getitem__
     rows = iter(rows)
     written = 0
     while chunk := list(islice(rows, _ROWS_PER_WRITE)):
-        write(("," if written else "") + "\n      ["
-              + "\n      ],\n      [".join([",".join(map(label, row)) for row in chunk])
-              + "\n      ]")
+        write(("," if written else "") + render(chunk, label))
         written += len(chunk)
     return written
+
+
+# A result field's rows sit three levels deep, each opening on a line of its
+# own at indent 6; each int inside takes a line of its own.
+
+def _int_list_rows(chunk, label) -> str:
+    return ("\n      [\n        " + "\n      ],\n      [\n        ".join(
+        [",\n        ".join(map(label, row)) for row in chunk]) + "\n      ]")
+
+
+_CYCLE_RECORD = ('\n      {{\n        "spoke_span": [\n          {}\n        ],'
+                 '\n        "length": {},\n        "edge_indices": [\n          {}\n        ],'
+                 '\n        "is_simple_cycle": {}\n      }}')
+
+
+def _cycle_record_rows(chunk, label) -> str:
+    return ",".join([_CYCLE_RECORD.format(
+        ",\n          ".join(map(label, r.spoke_span)), r.length,
+        ",\n          ".join(map(label, r.edge_indices)),
+        "true" if r.is_simple_cycle else "false") for r in chunk])
 
 
 def _cmd_count(args) -> int:
@@ -150,11 +165,9 @@ def _cmd_enumerate(args) -> int:
     cap = None if args.allow_huge else DEFAULT_TREE_CAP
     trees = enumerate_jahangir(params, limit=args.limit, cap=cap)  # refusals come first
     if args.format == "dot":
-        g = build_jahangir(params)
+        draw = dot_renderer(build_jahangir(params))
         for i, t in enumerate(trees):
-            if i:
-                sys.stdout.write("\n")
-            sys.stdout.write(to_dot(g, set(t.edge_indices), name=f"tree_{i}"))
+            sys.stdout.write(("\n" if i else "") + draw(t.edge_indices, f"tree_{i}"))
         return 0
     # count precedes trees in the envelope, so it is announced from the
     # closed form (not computed at all for --limit 0) and checked afterwards
@@ -165,7 +178,7 @@ def _cmd_enumerate(args) -> int:
     written = _emit("enumerate",
                     {"n": args.n, "m": args.m, "limit": args.limit, "format": args.format},
                     result, args.timestamp,
-                    map(attrgetter("edge_indices"), trees), params.edge_count)
+                    map(attrgetter("edge_indices"), trees), _int_list_rows, params.edge_count)
     if written != count:
         print(f"error: listed {written} trees, announced {count}", file=sys.stderr)
         return 4
@@ -173,26 +186,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
-    records = census_j2m(args.m)
-    histogram: dict[str, int] = {}
-    for r in records:
-        histogram[str(r.length)] = histogram.get(str(r.length), 0) + 1
-    result = {
-        "m": args.m,
-        "record_count": len(records),
-        "simple_cycle_count": sum(1 for r in records if r.is_simple_cycle),
-        "length_histogram": histogram,
-        "records": [
-            {
-                "spoke_span": list(r.spoke_span),
-                "length": r.length,
-                "edge_indices": list(r.edge_indices),
-                "is_simple_cycle": r.is_simple_cycle,
-            }
-            for r in records
-        ],
-    }
-    _emit("cycles", {"m": args.m}, result, args.timestamp)
+    m = args.m
+    records = census_records(m)  # m is refused here, before any output
+    # the closed forms proved in the cycles module: m runs for each k = 1..m,
+    # of length 2(k + 1), simple exactly when k < m
+    result = {"m": m, "record_count": m * m, "simple_cycle_count": m * m - m,
+              "length_histogram": {str(2 * (k + 1)): m for k in range(1, m + 1)},
+              "records": []}
+    _emit("cycles", {"m": m}, result, args.timestamp, records, _cycle_record_rows, 3 * m)
     return 0
 
 
@@ -233,15 +234,10 @@ def _cmd_graph(args) -> int:
     if args.format == "dot":
         sys.stdout.write(to_dot(g, name=f"jahangir_{args.n}_{args.m}"))
         return 0
-    result = {
-        "n": args.n,
-        "m": args.m,
-        "vertex_count": g.vertex_count,
-        "edge_count": g.edge_count,
-        "edges": [],
-    }
+    result = {"n": args.n, "m": args.m, "vertex_count": g.vertex_count,
+              "edge_count": g.edge_count, "edges": []}
     _emit("graph", {"n": args.n, "m": args.m, "format": args.format},
-          result, args.timestamp, g.edges, g.vertex_count)
+          result, args.timestamp, g.edges, _int_list_rows, g.vertex_count)
     return 0
 
 
@@ -319,7 +315,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParameterDomainError, GraphValidationError, SizeGuardError, ValueError) as exc:
+    except ValueError as exc:  # the package's parameter, graph and size refusals among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationCapError as exc:

@@ -18,9 +18,10 @@ generic enumerator instead of hiding the mismatch.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError, SizeGuardError
+from .errors import SizeGuardError
 from .graph_core import JahangirParams, LabeledGraph, build_jahangir, rim_arc_edges, spoke_edge
 
 VERIFY_GUARD = 8  # generic cycle enumeration is exponential; keep it small
@@ -94,6 +95,23 @@ def _edge_set_is_simple_cycle(g: LabeledGraph, edge_indices: tuple[int, ...]) ->
     return len(seen) == len(adj) and len(edge_indices) == len(adj)
 
 
+def census_records(m: int) -> Iterator[CycleRecord]:
+    """The census_j2m(m) records one at a time, m checked before the first.
+    is_simple_cycle is the proven k < m: no graph is built, no record checked."""
+    return _joined_runs(JahangirParams(2, m))
+
+
+def _joined_runs(params: JahangirParams) -> Iterator[CycleRecord]:
+    m = params.m
+    around = tuple(range(1, m + 1)) * 2  # a run of k inner cycles is a slice
+    for k in range(1, m + 1):
+        for start in range(m):
+            first, last = around[start], around[start + k]  # last == first when k == m
+            spokes = sorted({spoke_edge(params, first), spoke_edge(params, last)})
+            yield CycleRecord(around[start:start + k], 2 * (k + 1),
+                              tuple(rim_arc_edges(params, first, k) + spokes), k < m)
+
+
 def census_j2m(m: int) -> list[CycleRecord]:
     """All m*m joined-run records of J(2, m), k = 1..m, each of the m starts.
 
@@ -101,27 +119,7 @@ def census_j2m(m: int) -> list[CycleRecord]:
     record is a simple cycle of length 2(k + 1); the m records at k = m are
     degenerate (rim plus one spoke) and carry is_simple_cycle False.
     """
-    if m < 3:
-        raise ParameterDomainError(f"m must be >= 3 (got {m})")
-    params = JahangirParams(2, m)
-    g = build_jahangir(params)
-    records = []
-    for k in range(1, m + 1):
-        for start in range(1, m + 1):
-            span = tuple((start - 1 + t) % m + 1 for t in range(k))
-            first, last = span[0], (span[-1] % m) + 1
-            rim = rim_arc_edges(params, first, k)
-            spokes = {spoke_edge(params, first), spoke_edge(params, last)}  # one element when k == m
-            edges = tuple(rim + sorted(spokes))
-            records.append(
-                CycleRecord(
-                    spoke_span=span,
-                    length=2 * (k + 1),
-                    edge_indices=edges,
-                    is_simple_cycle=_edge_set_is_simple_cycle(g, edges),
-                )
-            )
-    return records
+    return list(census_records(m))
 
 
 def find_simple_cycles(g: LabeledGraph) -> set[frozenset[int]]:
@@ -175,16 +173,15 @@ def verify_census(m: int) -> CensusReport:
     k = m spans, and the claimed total m*m differs from the true count
     m*m - m + 1.
     """
-    if m < 3:
-        raise ParameterDomainError(f"m must be >= 3 (got {m})")
     if m > VERIFY_GUARD:
         raise SizeGuardError(f"generic verification limited to m <= {VERIFY_GUARD} (got {m})")
     records = census_j2m(m)
     g = build_jahangir(JahangirParams(2, m))
     generic = find_simple_cycles(g)
 
-    simple_sets = {frozenset(r.edge_indices) for r in records if r.is_simple_cycle}
-    degenerate = tuple(r.spoke_span for r in records if not r.is_simple_cycle)
+    simple = [_edge_set_is_simple_cycle(g, r.edge_indices) for r in records]  # not the flag
+    simple_sets = {frozenset(r.edge_indices) for r, ok in zip(records, simple) if ok}
+    degenerate = tuple(r.spoke_span for r, ok in zip(records, simple) if not ok)
     missing = sorted(tuple(sorted(c)) for c in generic - simple_sets)
 
     return CensusReport(

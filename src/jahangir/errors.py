@@ -17,10 +17,6 @@ class EnumerationCapError(RuntimeError):
     """An enumeration would produce more trees than the configured cap."""
 
 
-class EngineDisagreementError(RuntimeError):
-    """Independent counting engines returned different results."""
-
-
 def require_at_least(value: int, lo: int, name: str):
     """The package's one lower-bound check on a numeric parameter."""
     if value < lo:

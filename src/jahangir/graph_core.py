@@ -134,7 +134,8 @@ def rim_arc_edges(params: JahangirParams, j: int, arcs: int) -> list[int]:
     at spoke j's rim vertex and going forward; arcs = m is the whole rim."""
     nm = params.n * params.m
     start = (j - 1) * params.n  # the edge leaving rim vertex (j-1)*n + 1
-    return sorted((start + t) % nm for t in range(arcs * params.n))
+    end = start + arcs * params.n  # past nm, the arc wraps round to edge 0
+    return [*range(max(end - nm, 0)), *range(start, min(end, nm))]
 
 
 def spoke_edge(params: JahangirParams, j: int) -> int:
@@ -204,19 +205,28 @@ def is_connected(g: LabeledGraph) -> bool:
     return len(seen) == g.vertex_count
 
 
+def dot_renderer(g: LabeledGraph):
+    """to_dot(g, highlight_edges, name) as a function of its last two arguments:
+    the vertex block and both lines of each edge are formatted once per graph."""
+    vertices = "".join([f"  v{v};\n" for v in range(g.vertex_count)])
+    solid = [f"  v{u} -- v{v};\n" for u, v in g.edges]
+    dashed = [line[:-2] + " [style=dashed];\n" for line in solid]
+
+    def render(highlight_edges=None, name: str = "g") -> str:
+        lines = solid
+        if highlight_edges is not None:
+            lines = dashed.copy()
+            for i in highlight_edges:
+                lines[i] = solid[i]
+        return f"graph {name} {{\n{vertices}{''.join(lines)}}}\n"
+
+    return render
+
+
 def to_dot(g: LabeledGraph, highlight_edges=None, name: str = "g") -> str:
     """DOT rendering: vertices v0..v_{k}, one statement per edge in canonical
-    order.  When highlight_edges (a set of edge indices) is given, edges
+    order.  When highlight_edges (a set of edge indices of g) is given, edges
     outside the set are drawn dashed; used to display a spanning tree inside
     its host graph.
     """
-    lines = [f"graph {name} {{"]
-    for v in range(g.vertex_count):
-        lines.append(f"  v{v};")
-    for idx, (u, v) in enumerate(g.edges):
-        if highlight_edges is not None and idx not in highlight_edges:
-            lines.append(f"  v{u} -- v{v} [style=dashed];")
-        else:
-            lines.append(f"  v{u} -- v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_renderer(g)(highlight_edges, name)

@@ -81,11 +81,14 @@ class TestCount:
         assert "disagreement" in captured.err
 
     def test_parameter_error_exits_2(self, capsys):
-        code = main(["count", "--n", "1", "--m", "4"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "n must be >= 2" in captured.err
+        # refused before any output, also by the streamed cycles listing
+        for argv, reason in [(["count", "--n", "1", "--m", "4"], "n must be >= 2"),
+                             (["cycles", "--m", "2"], "m must be >= 3 (got 2)")]:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert reason in captured.err and captured.err.count("\n") == 1
 
     def test_enumerate_cap_exits_3(self, capsys):
         code = main(["count", "--n", "3", "--m", "16", "--method", "enumerate"])
@@ -230,6 +233,18 @@ class TestCycles:
         code, payload = run_json(capsys, ["cycles", "--m", "6"])
         assert code == 0
         assert payload["result"]["record_count"] == 36
+
+    def test_builds_no_graph_and_checks_no_record(self, capsys, monkeypatch):
+        import jahangir.cycles as cycles_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("off the production path")
+
+        monkeypatch.setattr(cycles_mod, "_edge_set_is_simple_cycle", refuse)
+        monkeypatch.setattr(cycles_mod, "build_jahangir", refuse)
+        code, payload = run_json(capsys, ["cycles", "--m", "30"])
+        assert code == 0
+        assert payload["result"]["record_count"] == len(payload["result"]["records"]) == 900
 
     def test_degenerate_records_flagged(self, capsys):
         code, payload = run_json(capsys, ["cycles", "--m", "4"])

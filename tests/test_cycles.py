@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jahangir import (
     JahangirParams,
@@ -9,6 +11,7 @@ from jahangir import (
     find_simple_cycles,
     verify_census,
 )
+from jahangir.cycles import _edge_set_is_simple_cycle
 
 
 class TestCensusRecords:
@@ -34,33 +37,32 @@ class TestCensusRecords:
                 assert 1 <= len(r.spoke_span) <= m
                 assert r.length == 2 * (len(r.spoke_span) + 1)
 
-    def test_short_spans_are_simple_cycles(self):
-        for m in range(3, 9):
-            g = build_jahangir(JahangirParams(2, m))
-            for r in census_j2m(m):
-                k = len(r.spoke_span)
-                if k < m:
-                    assert r.is_simple_cycle
-                    assert len(r.edge_indices) == r.length
-                    deg = {}
-                    for i in r.edge_indices:
-                        u, v = g.edges[i]
-                        deg[u] = deg.get(u, 0) + 1
-                        deg[v] = deg.get(v, 0) + 1
-                    assert all(d == 2 for d in deg.values())
+    # the flag is the proven k < m; the checker on the built graph is the oracle
 
-    def test_full_spans_are_degenerate(self):
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 40))
+    def test_short_spans_are_simple_cycles(self, m):
+        g = build_jahangir(JahangirParams(2, m))
+        for r in census_j2m(m):
+            if len(r.spoke_span) < m:
+                assert r.is_simple_cycle
+                assert _edge_set_is_simple_cycle(g, r.edge_indices)
+                assert len(r.edge_indices) == r.length
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 40))
+    def test_full_spans_are_degenerate(self, m):
         # joining all m inner cycles deletes every shared spoke: what is
         # left is the rim plus one spoke, one edge short of the claimed
         # length and not a cycle at all
-        for m in range(3, 9):
-            full = [r for r in census_j2m(m) if len(r.spoke_span) == m]
-            assert len(full) == m
-            for r in full:
-                assert not r.is_simple_cycle
-                assert len(r.edge_indices) == 2 * m + 1
-                assert r.length == 2 * (m + 1)
-                assert len(r.edge_indices) != r.length
+        g = build_jahangir(JahangirParams(2, m))
+        full = [r for r in census_j2m(m) if len(r.spoke_span) == m]
+        assert len(full) == m
+        for r in full:
+            assert not r.is_simple_cycle
+            assert not _edge_set_is_simple_cycle(g, r.edge_indices)
+            assert len(r.edge_indices) == 2 * m + 1
+            assert r.length == 2 * (m + 1)
 
     def test_unit_spans_are_inner_cycles(self):
         m = 5

@@ -5,12 +5,15 @@ against the spoke-subset census they summarise and against the matrix tree
 theorem on the built graph.  The matrix tree theorem's cycle-minor path is
 checked against Bareiss elimination of the explicit minor, and its Bareiss
 fallback against the generic enumerator.  The generic enumerator is checked
-tree by tree against a filter over all (|V| - 1)-edge subsets.  The CLI's
-streamed listings are checked byte for byte against json.dumps(indent=2)
-of the envelope built in one piece.
+tree by tree against a filter over all (|V| - 1)-edge subsets, and the
+structured enumerator against the generic one.  The CLI's streamed JSON
+listings are checked byte for byte against json.dumps(indent=2) of the
+envelope built in one piece, and its DOT listing line by line against the
+trees it draws.
 """
 
 import json
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -25,6 +28,7 @@ from jahangir import (
     ParameterDomainError,
     SpanningTree,
     build_jahangir,
+    census_j2m,
     class_census,
     class_contribution,
     count_spanning_trees_det,
@@ -37,6 +41,7 @@ from jahangir import (
     verify_spanning_tree,
 )
 from jahangir.cli import _engine_versions, main
+from jahangir.cycles import _edge_set_is_simple_cycle
 from jahangir.matrix_tree import _cycle_order, _det_fraction_free, _laplacian_minor
 
 
@@ -158,6 +163,21 @@ def test_enumerate_all_equals_filtered_combinations(g, k):
     assert list(enumerate_all(g, limit=k)) == expected[:k]
 
 
+# Every J(n, m) with at most 3000 trees: the generic enumerator lists each
+# in well under a second.
+SMALL_TREE_COUNTS = [(n, m) for n in range(2, 15) for m in range(3, 8)
+                     if sigma(n, m).total <= 3000]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_TREE_COUNTS))
+def test_structured_listing_equals_generic_listing(nm):
+    params = JahangirParams(*nm)
+    structured = sorted(enumerate_jahangir(params), key=lambda t: t.edge_indices)
+    assert structured == list(enumerate_all(build_jahangir(params)))
+    assert len(structured) == sigma(*nm).total
+
+
 # Trees the one-piece reference renders in about a second and a half: only
 # the full listing of J(4, 7), 228 484 trees, is larger, and it is drawn
 # with a limit instead.
@@ -228,3 +248,54 @@ def test_streamed_graph_equals_one_piece_json(n, m, timestamp):
     parameters = {"n": n, "m": m, "format": "json"}
     assert code == 0
     assert mask_timestamp(out) == one_piece("graph", parameters, result, timestamp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 40), st.booleans())
+def test_streamed_cycles_equals_one_piece_json(m, timestamp):
+    argv = ["cycles", "--m", str(m)]
+    code, out = run_cli((["--timestamp"] if timestamp else []) + argv)
+    # the reference walks the records and asks the checker, where the CLI
+    # uses the closed forms
+    g = build_jahangir(JahangirParams(2, m))
+    records, histogram = [], {}
+    for r in census_j2m(m):
+        histogram[str(r.length)] = histogram.get(str(r.length), 0) + 1
+        records.append({"spoke_span": list(r.spoke_span), "length": r.length,
+                        "edge_indices": list(r.edge_indices),
+                        "is_simple_cycle": _edge_set_is_simple_cycle(g, r.edge_indices)})
+    result = {"m": m, "record_count": len(records),
+              "simple_cycle_count": sum(r["is_simple_cycle"] for r in records),
+              "length_histogram": histogram, "records": records}
+    assert code == 0
+    assert mask_timestamp(out) == one_piece("cycles", {"m": m}, result, timestamp)
+
+
+DOT_VERTEX = re.compile(r"  v(\d+);")
+DOT_EDGE = re.compile(r"  v(\d+) -- v(\d+)( \[style=dashed\])?;")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(3, 6), st.integers(0, 40))
+def test_dot_listing_draws_each_tree_in_its_host(n, m, limit):
+    argv = ["enumerate", "--n", str(n), "--m", str(m), "--limit", str(limit), "--format", "dot"]
+    code, out = run_cli(argv)
+    params = JahangirParams(n, m)
+    g = build_jahangir(params)
+    trees = list(enumerate_jahangir(params, limit))
+    assert code == 0
+    # one drawing per tree, each ending in a newline, one blank line between
+    assert out.endswith("}\n") if trees else out == ""
+    blocks = out[:-1].split("\n\n") if out else []
+    assert len(blocks) == len(trees)
+    for i, (block, tree) in enumerate(zip(blocks, trees)):
+        lines = block.split("\n")
+        assert lines[0] == f"graph tree_{i} {{" and lines[-1] == "}"
+        body = lines[1:-1]
+        assert len(body) == g.vertex_count + g.edge_count
+        vertices = [DOT_VERTEX.fullmatch(x) for x in body[:g.vertex_count]]
+        assert [int(v.group(1)) for v in vertices] == list(range(g.vertex_count))
+        edges = [DOT_EDGE.fullmatch(x) for x in body[g.vertex_count:]]
+        assert [(int(e.group(1)), int(e.group(2))) for e in edges] == list(g.edges)
+        solid = {i for i, e in enumerate(edges) if e.group(3) is None}
+        assert solid == set(tree.edge_indices)
