@@ -31,7 +31,7 @@ from . import __version__
 from .asymptotics import ratio_series
 from .combinatorics import polynomial_coefficients, sigma, sigma_table
 from .cycles import census_records
-from .enumeration import DEFAULT_TREE_CAP, enumerate_all, enumerate_jahangir
+from .enumeration import DEFAULT_TREE_CAP, check_cap, enumerate_all, enumerate_jahangir
 from .errors import EnumerationCapError
 from .graph_core import JahangirParams, build_jahangir, dot_renderer, to_dot
 from .matrix_tree import count_spanning_trees_det
@@ -129,6 +129,9 @@ def _cmd_count(args) -> int:
     if args.method in ("kirchhoff", "all"):
         engines["kirchhoff"] = count_spanning_trees_det(g)
     if args.method in ("enumerate", "all"):
+        if args.method == "all":  # the cap is judged on the Kirchhoff count, not a second one
+            check_cap(lambda: engines["kirchhoff"], None, cap)
+            cap = None
         engines["enumerate"] = sum(1 for _ in enumerate_all(g, cap=cap))
 
     result = {"n": args.n, "m": args.m, "method": args.method}

@@ -5,8 +5,9 @@ Two independent producers:
 * enumerate_all walks any simple connected graph with include/exclude
   backtracking over the edge list.  It is the validation oracle: slow but
   graph-agnostic, yielding trees in lexicographic order of their sorted
-  edge-index tuples.  The search is one loop over one union-find with an
-  undo trail, with no recursion, so it has no depth limit.
+  edge-index tuples.  One loop with no recursion, so no depth limit, over
+  a union-find in three local lists: the test that the later edges still
+  span is their greedy completion, which, when it passes, is the next tree.
 
 * enumerate_jahangir builds each tree of J(n, m) directly, no search: pick
   a nonempty spoke subset, then delete exactly one rim edge from each arc
@@ -14,9 +15,9 @@ Two independent producers:
   spokes holds (g + 1) * n rim edges, which is where the counting formula's
   product comes from.
 
-Both refuse up front (EnumerationCapError) when the full run would exceed
-the safety cap, computed from the exact count before any tree is built,
-and both apply limit by slicing the stream.
+Both refuse up front (EnumerationCapError) a run above the safety cap,
+judged on the exact count before any tree is built (no count is needed for
+a limit within the cap), and both apply limit by slicing the stream.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .combinatorics import sigma
 from .errors import EnumerationCapError
@@ -36,68 +37,53 @@ DEFAULT_TREE_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Sorted edge indices into the host graph's canonical edge list."""
+    """Strictly ascending edge indices into the host graph's canonical edge list."""
 
     edge_indices: tuple[int, ...]
 
     def __post_init__(self):
-        if list(self.edge_indices) != sorted(self.edge_indices):
+        if not all(a < b for a, b in zip(self.edge_indices, self.edge_indices[1:])):
             raise ValueError("edge indices must be sorted ascending")
 
 
-class _UnionFind:
-    """Union by size with an undo trail; no path compression so undo is exact."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.trail: list[tuple[int, int]] = []
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.trail.append((ra, rb))
-        return True
-
-    def undo(self):
-        ra, rb = self.trail.pop()
-        self.parent[rb] = rb
-        self.size[ra] -= self.size[rb]
+def _tree(edge_indices: tuple[int, ...]) -> SpanningTree:
+    # the producers' constructor: their tuples are strictly ascending by
+    # construction, so the check in __init__ is skipped
+    tree = object.__new__(SpanningTree)
+    object.__setattr__(tree, "edge_indices", edge_indices)
+    return tree
 
 
 def verify_spanning_tree(g: LabeledGraph, tree: SpanningTree) -> bool:
     """Independent check: |V| - 1 distinct in-range edges, acyclic, spanning."""
     idx = tree.edge_indices
-    if len(idx) != g.vertex_count - 1:
+    if (len(idx) != g.vertex_count - 1 or len(set(idx)) != len(idx)
+            or idx and (idx[0] < 0 or idx[-1] >= len(g.edges))):
         return False
-    if len(set(idx)) != len(idx):
-        return False
-    if idx and (idx[0] < 0 or idx[-1] >= len(g.edges)):
-        return False
-    uf = _UnionFind(g.vertex_count)
-    merged = 0
+    # |V| - 1 edges that close no cycle join all |V| vertices
+    parent = list(range(g.vertex_count))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
     for i in idx:
-        u, v = g.edges[i]
-        if not uf.union(u, v):
+        u, v = map(root, g.edges[i])
+        if u == v:
             return False
-        merged += 1
-    return merged == g.vertex_count - 1
+        parent[u] = v
+    return True
 
 
-def _cap_check(expected: int, limit: Optional[int], cap: Optional[int]):
-    planned = expected if limit is None else min(expected, limit)
-    if cap is not None and planned > cap:
+def check_cap(count: Callable[[], int], limit: Optional[int], cap: Optional[int]):
+    """Refuse (EnumerationCapError) a run of over cap trees, None: no cap.
+    count() gives the exact total; it is not called when limit <= cap."""
+    if cap is None or (limit is not None and limit <= cap):
+        return
+    planned = count() if limit is None else min(count(), limit)
+    if planned > cap:
         raise EnumerationCapError(
             f"enumeration would yield {planned} trees, above the cap of {cap}; "
             "raise or disable the cap to proceed"
@@ -120,44 +106,56 @@ def enumerate_all(
     if not is_connected(g):
         warnings.warn("graph is disconnected; no spanning trees exist", RuntimeWarning, stacklevel=2)
         return iter(())
-    if limit == 0:
-        return iter(())
-    if cap is not None:  # the exact count is needed only to enforce the cap
-        _cap_check(count_spanning_trees_det(g), limit, cap)
+    check_cap(lambda: count_spanning_trees_det(g), limit, cap)
     return islice(_backtrack_trees(g), limit)
 
 
 def _backtrack_trees(g: LabeledGraph) -> Iterator[SpanningTree]:
-    # Include/exclude search over edge indices, include first, so trees come
-    # out in lexicographic order.  Invariant: the chosen edges plus edges[i:]
-    # span g, so taking every edge that joins two components completes a tree.
+    # Include/exclude search, include first: trees come out in lexicographic
+    # order.  After a tree ending in edge i, i is left out and edges[i + 1:]
+    # complete the rest greedily, taking each edge that joins two components.
+    # That is also the test that the rest still spans: if it reaches |V| - 1
+    # edges its unions are the next tree, else they are undone and the chosen
+    # edge before i is left out in turn.  Union by size, no path compression:
+    # trail holds the root each union hung below another, so undo is exact.
     edges, need = g.edges, g.vertex_count - 1
-    uf = _UnionFind(g.vertex_count)
+    parent = list(range(g.vertex_count))
+    size = [1] * g.vertex_count
+    trail: list[int] = []
     chosen: list[int] = []
-    i = 0
+    i = -1  # the first tree completes greedily from edge 0
     while True:
-        while len(chosen) < need:
-            if uf.union(*edges[i]):
-                chosen.append(i)
-            i += 1
-        yield SpanningTree(tuple(chosen))
-        # the last taken edge may be left out only if the later edges can
-        # still span; union them into uf to find out, then undo them
-        while chosen:
-            i = chosen.pop()
-            uf.undo()
-            merged = len(chosen)
-            for u, v in edges[i + 1:]:
-                if merged == need:
+        have = base = len(chosen)
+        for j in range(i + 1, len(edges)):
+            u, v = edges[j]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u != v:
+                if size[u] < size[v]:
+                    u, v = v, u
+                parent[v] = u
+                size[u] += size[v]
+                trail.append(v)
+                chosen.append(j)
+                have += 1
+                if have == need:
                     break
-                merged += uf.union(u, v)
-            for _ in range(merged - len(chosen)):
-                uf.undo()
-            if merged == need:
-                i += 1
-                break
+        if have == need:
+            yield _tree(tuple(chosen))
+            keep = need - 1
         else:
+            keep = base - 1
+        if keep < 0:
             return
+        i = chosen[keep]
+        del chosen[keep:]
+        while len(trail) > keep:
+            v = trail.pop()
+            u = parent[v]
+            parent[v] = v
+            size[u] -= size[v]
 
 
 def _lex_spoke_subsets(m: int) -> Iterator[tuple[int, ...]]:
@@ -184,9 +182,7 @@ def enumerate_jahangir(
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
-    if limit == 0:
-        return iter(())
-    _cap_check(sigma(params.n, params.m).total, limit, cap)
+    check_cap(lambda: sigma(params.n, params.m).total, limit, cap)
     return islice(_structured_trees(params), limit)
 
 
@@ -199,4 +195,4 @@ def _structured_trees(params: JahangirParams) -> Iterator[SpanningTree]:
                 for i, j in enumerate(subset)]
         spoke_edges = tuple(spoke_edge(params, j) for j in subset)
         for deletion in product(*arcs):
-            yield SpanningTree(tuple(sorted(all_rim.difference(deletion))) + spoke_edges)
+            yield _tree(tuple(sorted(all_rim.difference(deletion))) + spoke_edges)

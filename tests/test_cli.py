@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from jahangir import sigma
+from jahangir import count_spanning_trees_det, sigma
 from jahangir.cli import main
 
 
@@ -79,6 +79,32 @@ class TestCount:
         assert payload["result"]["agreement"] is False
         assert "total" not in payload["result"]
         assert "disagreement" in captured.err
+
+    def test_method_all_counts_kirchhoff_once(self, capsys, monkeypatch):
+        # the enumerate engine's cap is judged on the Kirchhoff engine's count
+        import jahangir.cli as cli_mod
+        import jahangir.enumeration as enum_mod
+
+        calls = []
+
+        def counted(g, *args, **kwargs):
+            calls.append(g)
+            return count_spanning_trees_det(g, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "count_spanning_trees_det", counted)
+        monkeypatch.setattr(enum_mod, "count_spanning_trees_det", counted)
+        code, payload = run_json(capsys, ["count", "--n", "2", "--m", "4", "--method", "all"])
+        assert code == 0
+        assert payload["result"]["total"] == "192"
+        assert len(calls) == 1
+
+    def test_method_all_cap_exits_3(self, capsys):
+        code = main(["count", "--n", "2", "--m", "13", "--method", "all"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("error: enumeration would yield 27246962 trees, above the cap "
+                                "of 10000000; raise or disable the cap to proceed\n")
 
     def test_parameter_error_exits_2(self, capsys):
         # refused before any output, also by the streamed cycles listing

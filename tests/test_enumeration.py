@@ -92,6 +92,12 @@ class TestEnumerateAll:
         long_path = LabeledGraph(1500, tuple((i, i + 1) for i in range(1499)))
         assert len(list(enumerate_all(long_path, cap=None))) == 1
 
+    def test_limit_within_cap_needs_no_count(self):
+        # min(count, limit) <= limit <= cap: the count past the Bareiss guard
+        # is never taken
+        path = LabeledGraph(401, tuple((i, i + 1) for i in range(400)))
+        assert [t.edge_indices for t in enumerate_all(path, limit=1)] == [tuple(range(400))]
+
     def test_first_tree_of_a_deep_jahangir_graph(self):
         g = build_jahangir(JahangirParams(400, 3))
         assert verify_spanning_tree(g, next(enumerate_all(g, cap=None)))
@@ -177,6 +183,33 @@ class TestEnumerateJahangir:
         trees = list(enumerate_jahangir(JahangirParams(3, 16), limit=4))
         assert len(trees) == 4
 
+    def test_limit_within_cap_needs_no_count(self, monkeypatch):
+        import jahangir.enumeration as enum_mod
+
+        def refuse(n, m):
+            raise AssertionError("sigma computed for a listing the limit keeps under the cap")
+
+        monkeypatch.setattr(enum_mod, "sigma", refuse)
+        params = JahangirParams(2, 3000)
+        (tree,) = enumerate_jahangir(params, limit=1)
+        assert tree.edge_indices == (*range(1, 6000), 6000)
+        assert verify_spanning_tree(build_jahangir(params), tree)
+
+
+# J(2..4, 3..8) with at most 13 000 trees: both producers list each quickly
+LISTABLE = [(n, m) for n in (2, 3, 4) for m in range(3, 9) if sigma(n, m).total <= 13_000]
+
+
+def test_producers_yield_strictly_ascending_indices():
+    assert len(LISTABLE) == 12
+    for n, m in LISTABLE:
+        params = JahangirParams(n, m)
+        for trees in (enumerate_jahangir(params), enumerate_all(build_jahangir(params))):
+            for t in trees:
+                idx = t.edge_indices
+                assert type(t) is SpanningTree and type(idx) is tuple
+                assert all(a < b for a, b in zip(idx, idx[1:])), (n, m, idx)
+
 
 class TestVerifier:
     def test_rejects_wrong_size(self, four_cycle):
@@ -195,6 +228,11 @@ class TestVerifier:
     def test_tree_indices_must_be_sorted(self):
         with pytest.raises(ValueError):
             SpanningTree((2, 0, 1))
+
+    def test_tree_indices_must_be_distinct(self):
+        with pytest.raises(ValueError, match="sorted ascending"):
+            SpanningTree((1, 1, 2))
+        assert SpanningTree(()).edge_indices == ()
 
 
 class TestTreeDot:

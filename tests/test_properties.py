@@ -5,11 +5,11 @@ against the spoke-subset census they summarise and against the matrix tree
 theorem on the built graph.  The matrix tree theorem's cycle-minor path is
 checked against Bareiss elimination of the explicit minor, and its Bareiss
 fallback against the generic enumerator.  The generic enumerator is checked
-tree by tree against a filter over all (|V| - 1)-edge subsets, and the
-structured enumerator against the generic one.  The CLI's streamed JSON
-listings are checked byte for byte against json.dumps(indent=2) of the
-envelope built in one piece, and its DOT listing line by line against the
-trees it draws.
+tree by tree against a filter over all (|V| - 1)-edge subsets, on larger
+graphs against the determinant, and the structured enumerator against the
+generic one.  The CLI's streamed JSON listings are checked byte for byte
+against json.dumps(indent=2) of the envelope built in one piece, and its
+DOT listing line by line against the trees it draws.
 """
 
 import json
@@ -83,14 +83,19 @@ def apex_plus_path_or_two_cycles(draw):
 
 
 @st.composite
-def connected_graph(draw):
-    """A random tree on up to 6 vertices plus random extra edges, with
-    shuffled labels and edge order."""
-    nv = draw(st.integers(1, 6))
+def connected_graph(draw, min_vertices=1, max_vertices=6, max_extra=None):
+    """A random tree on min_vertices..max_vertices vertices plus random extra
+    edges (any number, or at most max_extra), with shuffled labels and edge
+    order."""
+    nv = draw(st.integers(min_vertices, max_vertices))
     label = draw(st.permutations(range(nv)))
     pairs = [(u, v) for v in range(nv) for u in range(v)]
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
-    extra = [p for p in pairs if p not in tree and draw(st.booleans())]
+    rest = [p for p in pairs if p not in tree]
+    if max_extra is None:
+        extra = [p for p in rest if draw(st.booleans())]
+    else:
+        extra = draw(st.lists(st.sampled_from(rest), max_size=max_extra, unique=True))
     edges = [(label[u], label[v]) for u, v in tree + extra]
     return LabeledGraph(nv, tuple(draw(st.permutations(edges))))
 
@@ -161,6 +166,17 @@ def test_enumerate_all_equals_filtered_combinations(g, k):
     expected = [t for t in subsets if verify_spanning_tree(g, t)]
     assert list(enumerate_all(g)) == expected
     assert list(enumerate_all(g, limit=k)) == expected[:k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graph(min_vertices=7, max_vertices=10, max_extra=7))
+def test_enumerate_all_on_larger_graphs(g):
+    # past the reach of the combinations filter: at most C(16, 9) = 11440
+    # trees, strictly increasing, each verified, as many as the determinant
+    trees = [t.edge_indices for t in enumerate_all(g)]
+    assert all(a < b for a, b in zip(trees, trees[1:]))
+    assert all(verify_spanning_tree(g, SpanningTree(t)) for t in trees)
+    assert len(trees) == count_spanning_trees_det(g)
 
 
 # Every J(n, m) with at most 3000 trees: the generic enumerator lists each
