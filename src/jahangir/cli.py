@@ -11,6 +11,11 @@ the rows are written in chunks as they are produced, byte-identical to
 json.dumps(indent=2) of the whole.  `enumerate --format dot` draws each
 tree with one DOT renderer made once for the host graph.
 
+The tree cap lives here, not in the enumerators, which are lazy: _planned
+sizes a listing of J(n, m) from its parameters alone, and `enumerate` and
+`count --method enumerate|all` are refused by it before any graph is built
+or any output written.
+
 Exit codes: 0 success, 2 parameter or validation problem, 3 enumeration cap
 exceeded, 4 counting engines disagree under --method all, or a listing's
 length differs from the count announced before it.
@@ -31,7 +36,7 @@ from . import __version__
 from .asymptotics import ratio_series
 from .combinatorics import polynomial_coefficients, sigma, sigma_table
 from .cycles import census_records
-from .enumeration import DEFAULT_TREE_CAP, check_cap, enumerate_all, enumerate_jahangir
+from .enumeration import enumerate_all, enumerate_jahangir
 from .errors import EnumerationCapError
 from .graph_core import JahangirParams, build_jahangir, dot_renderer, to_dot
 from .matrix_tree import count_spanning_trees_det
@@ -116,9 +121,32 @@ def _cycle_record_rows(chunk, label) -> str:
         "true" if r.is_simple_cycle else "false") for r in chunk])
 
 
+TREE_CAP = 10_000_000
+
+
+def _planned(n: int, m: int, limit, allow_huge: bool) -> int:
+    """The number of trees a listing of J(n, m) yields, min(limit, sigma).
+
+    Refused (EnumerationCapError) above TREE_CAP unless allow_huge.  J(n, m)
+    has n * m^2 trees that keep a single spoke, so sigma is at least that,
+    and a limit within it is the answer with no count taken.
+    """
+    if limit is not None and limit <= n * m * m:
+        planned = limit
+    else:
+        planned = sigma_table(n, m)[-1][1]
+        if limit is not None:
+            planned = min(planned, limit)
+    if planned > TREE_CAP and not allow_huge:
+        raise EnumerationCapError(f"enumeration would yield {planned} trees, above the cap of "
+                                  f"{TREE_CAP}; raise or disable the cap to proceed")
+    return planned
+
+
 def _cmd_count(args) -> int:
     params = JahangirParams(args.n, args.m)
-    cap = None if args.allow_huge else DEFAULT_TREE_CAP
+    if args.method in ("enumerate", "all"):
+        _planned(args.n, args.m, None, args.allow_huge)
     engines = {}
     if args.method in ("combinatorial", "all") or args.breakdown:
         counted = sigma(args.n, args.m)
@@ -129,10 +157,7 @@ def _cmd_count(args) -> int:
     if args.method in ("kirchhoff", "all"):
         engines["kirchhoff"] = count_spanning_trees_det(g)
     if args.method in ("enumerate", "all"):
-        if args.method == "all":  # the cap is judged on the Kirchhoff count, not a second one
-            check_cap(lambda: engines["kirchhoff"], None, cap)
-            cap = None
-        engines["enumerate"] = sum(1 for _ in enumerate_all(g, cap=cap))
+        engines["enumerate"] = sum(1 for _ in enumerate_all(g))
 
     result = {"n": args.n, "m": args.m, "method": args.method}
     agreement = True
@@ -165,18 +190,15 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     params = JahangirParams(args.n, args.m)
-    cap = None if args.allow_huge else DEFAULT_TREE_CAP
-    trees = enumerate_jahangir(params, limit=args.limit, cap=cap)  # refusals come first
+    trees = enumerate_jahangir(params, limit=args.limit)  # refuses a negative limit
+    count = _planned(args.n, args.m, args.limit, args.allow_huge)
     if args.format == "dot":
         draw = dot_renderer(build_jahangir(params))
         for i, t in enumerate(trees):
             sys.stdout.write(("\n" if i else "") + draw(t.edge_indices, f"tree_{i}"))
         return 0
-    # count precedes trees in the envelope, so it is announced from the
-    # closed form (not computed at all for --limit 0) and checked afterwards
-    count = 0 if args.limit == 0 else sigma(args.n, args.m).total
-    if args.limit is not None:
-        count = min(count, args.limit)
+    # count precedes trees in the envelope, so it is announced as planned
+    # and checked afterwards
     result = {"n": args.n, "m": args.m, "limit": args.limit, "count": count, "trees": []}
     written = _emit("enumerate",
                     {"n": args.n, "m": args.m, "limit": args.limit, "format": args.format},

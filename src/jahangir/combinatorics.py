@@ -146,10 +146,14 @@ def sigma(n: int, m: int) -> TreeCountBreakdown:
 def polynomial_coefficients(m: int) -> tuple[int, ...]:
     """Coefficients (A_1, ..., A_m) with sigma(n, m) == sum A_k * n^k.
 
-    The leading coefficient is 1 and A_1 is m squared.
+    The leading coefficient is 1 and A_1 is m squared.  Built term by term,
+    A_{k+1} = A_k * (m + k)(m - k) / (2(k + 1)(2k + 1)), the division exact.
     """
     require_at_least(m, 3, "m")
-    return tuple(_coefficient(m, k) for k in range(1, m + 1))
+    coeffs = [m * m]
+    for k in range(1, m):
+        coeffs.append(coeffs[-1] * ((m + k) * (m - k)) // (2 * (k + 1) * (2 * k + 1)))
+    return tuple(coeffs)
 
 
 def sigma_table(n: int, m_max: int) -> tuple[tuple[int, int], ...]:

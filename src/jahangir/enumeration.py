@@ -15,9 +15,9 @@ Two independent producers:
   spokes holds (g + 1) * n rim edges, which is where the counting formula's
   product comes from.
 
-Both refuse up front (EnumerationCapError) a run above the safety cap,
-judged on the exact count before any tree is built (no count is needed for
-a limit within the cap), and both apply limit by slicing the stream.
+Both are lazy and apply limit by slicing the stream: a caller bounds the
+work by the limit or by how many trees it draws.  Neither counts the trees
+it is about to list; the CLI, which drains them, caps a listing up front.
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .combinatorics import sigma
-from .errors import EnumerationCapError
 from .graph_core import JahangirParams, LabeledGraph, is_connected, rim_arc_edges, spoke_edge
-from .matrix_tree import count_spanning_trees_det
-
-DEFAULT_TREE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -77,36 +72,17 @@ def verify_spanning_tree(g: LabeledGraph, tree: SpanningTree) -> bool:
     return True
 
 
-def check_cap(count: Callable[[], int], limit: Optional[int], cap: Optional[int]):
-    """Refuse (EnumerationCapError) a run of over cap trees, None: no cap.
-    count() gives the exact total; it is not called when limit <= cap."""
-    if cap is None or (limit is not None and limit <= cap):
-        return
-    planned = count() if limit is None else min(count(), limit)
-    if planned > cap:
-        raise EnumerationCapError(
-            f"enumeration would yield {planned} trees, above the cap of {cap}; "
-            "raise or disable the cap to proceed"
-        )
-
-
-def enumerate_all(
-    g: LabeledGraph,
-    limit: Optional[int] = None,
-    cap: Optional[int] = DEFAULT_TREE_CAP,
-) -> Iterator[SpanningTree]:
+def enumerate_all(g: LabeledGraph, limit: Optional[int] = None) -> Iterator[SpanningTree]:
     """Every spanning tree of g exactly once, lexicographic on edge indices.
 
     A disconnected graph produces an empty stream after a RuntimeWarning.
-    limit stops the stream early; cap (None disables) rejects runs whose
-    full size, known exactly in advance, is too large.
+    limit stops the stream early.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
     if not is_connected(g):
         warnings.warn("graph is disconnected; no spanning trees exist", RuntimeWarning, stacklevel=2)
         return iter(())
-    check_cap(lambda: count_spanning_trees_det(g), limit, cap)
     return islice(_backtrack_trees(g), limit)
 
 
@@ -169,11 +145,8 @@ def _lex_spoke_subsets(m: int) -> Iterator[tuple[int, ...]]:
             stack.append(s + (nxt,))
 
 
-def enumerate_jahangir(
-    params: JahangirParams,
-    limit: Optional[int] = None,
-    cap: Optional[int] = DEFAULT_TREE_CAP,
-) -> Iterator[SpanningTree]:
+def enumerate_jahangir(params: JahangirParams,
+                       limit: Optional[int] = None) -> Iterator[SpanningTree]:
     """Every spanning tree of J(n, m), built structurally.
 
     Spoke subsets stream in lexicographic order; within a subset, one rim
@@ -182,7 +155,6 @@ def enumerate_jahangir(
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
-    check_cap(lambda: sigma(params.n, params.m).total, limit, cap)
     return islice(_structured_trees(params), limit)
 
 

@@ -11,6 +11,10 @@ from jahangir import count_spanning_trees_det, sigma
 from jahangir.cli import main
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("off the path of this command")
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -81,9 +85,7 @@ class TestCount:
         assert "disagreement" in captured.err
 
     def test_method_all_counts_kirchhoff_once(self, capsys, monkeypatch):
-        # the enumerate engine's cap is judged on the Kirchhoff engine's count
         import jahangir.cli as cli_mod
-        import jahangir.enumeration as enum_mod
 
         calls = []
 
@@ -92,7 +94,6 @@ class TestCount:
             return count_spanning_trees_det(g, *args, **kwargs)
 
         monkeypatch.setattr(cli_mod, "count_spanning_trees_det", counted)
-        monkeypatch.setattr(enum_mod, "count_spanning_trees_det", counted)
         code, payload = run_json(capsys, ["count", "--n", "2", "--m", "4", "--method", "all"])
         assert code == 0
         assert payload["result"]["total"] == "192"
@@ -100,6 +101,17 @@ class TestCount:
 
     def test_method_all_cap_exits_3(self, capsys):
         code = main(["count", "--n", "2", "--m", "13", "--method", "all"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("error: enumeration would yield 27246962 trees, above the cap "
+                                "of 10000000; raise or disable the cap to proceed\n")
+
+    def test_method_enumerate_refused_before_any_graph(self, capsys, monkeypatch):
+        import jahangir.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "build_jahangir", refuse)
+        code = main(["count", "--n", "2", "--m", "13", "--method", "enumerate"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -199,6 +211,19 @@ class TestEnumerate:
         assert code == 3
         assert "cap" in captured.err
 
+    def test_limit_within_one_spoke_trees_needs_no_count(self, capsys, monkeypatch):
+        # J(2, 3000) has 2 * 3000^2 trees that keep one spoke, so a limit of
+        # 1 is the announced count and sigma is never taken
+        import jahangir.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "sigma", refuse)
+        monkeypatch.setattr(cli_mod, "sigma_table", refuse)
+        code, payload = run_json(capsys, ["enumerate", "--n", "2", "--m", "3000",
+                                          "--limit", "1"])
+        assert code == 0
+        assert payload["result"]["count"] == 1
+        assert payload["result"]["trees"] == [list(range(1, 6001))]
+
     def test_short_listing_exits_4(self, capsys, monkeypatch):
         # count is printed before the trees, so a listing that falls short
         # of it is reported after the fact
@@ -243,6 +268,45 @@ class TestEnumerate:
         err = proc.stderr.read()
         assert proc.wait() == 0
         assert err == b""
+
+
+# sigma above 10^7 with no limit: every listing of these is refused
+OVER_CAP = [(2, 13), (2, 14), (3, 11), (3, 12), (4, 10), (4, 11), (3, 16)]
+
+
+@pytest.mark.parametrize("n, m", OVER_CAP)
+@pytest.mark.parametrize("command", [["enumerate"], ["enumerate", "--format", "dot"],
+                                     ["count", "--method", "enumerate"]])
+def test_cap_refusal_line(capsys, command, n, m):
+    code = main(command + ["--n", str(n), "--m", str(m)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"error: enumeration would yield {sigma(n, m).total} trees, above "
+                            "the cap of 10000000; raise or disable the cap to proceed\n")
+
+
+def test_refusal_order(capsys):
+    # parameters first, then a negative limit, then the cap
+    for argv, code, reason in [(["--n", "1", "--m", "16", "--limit", "-1"], 2, "n must be >= 2"),
+                               (["--n", "3", "--m", "16", "--limit", "-1"], 2, "nonnegative"),
+                               (["--n", "3", "--m", "16", "--limit", "10000001"], 3, "10000001")]:
+        assert main(["enumerate", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and reason in captured.err and captured.err.count("\n") == 1
+
+
+def test_allow_huge_lifts_the_cap(capsys, monkeypatch):
+    import jahangir.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "TREE_CAP", 49)
+    for argv, key, value in ((["enumerate", "--n", "2", "--m", "3"], "count", 50),
+                             (["count", "--n", "2", "--m", "3", "--method", "all"], "total", "50")):
+        assert main(argv) == 3
+        assert "would yield 50 trees, above the cap of 49" in capsys.readouterr().err
+        code, payload = run_json(capsys, argv + ["--allow-huge"])
+        assert code == 0
+        assert payload["result"][key] == value
 
 
 class TestCycles:

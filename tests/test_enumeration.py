@@ -1,10 +1,8 @@
 import pytest
 
 from jahangir import (
-    EnumerationCapError,
     JahangirParams,
     LabeledGraph,
-    SizeGuardError,
     SpanningTree,
     build_jahangir,
     count_spanning_trees_det,
@@ -68,39 +66,25 @@ class TestEnumerateAll:
             trees = list(enumerate_all(disconnected))
         assert trees == []
 
-    def test_cap_rejects_known_large_run(self):
-        # sigma(2, 13) is 27246962, above the default cap; the refusal
-        # happens before any tree is produced
-        g = build_jahangir(JahangirParams(2, 13))
-        with pytest.raises(EnumerationCapError, match="27246962"):
-            enumerate_all(g)
-
     def test_cap_respects_limit(self):
         g = build_jahangir(JahangirParams(2, 13))
         trees = list(enumerate_all(g, limit=3))
         assert len(trees) == 3
 
     def test_cap_disabled(self, k4):
-        assert len(list(enumerate_all(k4, cap=None))) == 16
+        assert len(list(enumerate_all(k4))) == 16
 
     def test_cap_needs_a_count_within_the_bareiss_guard(self):
+        # the listing takes no count, so a path past the Bareiss guard lists
         path = LabeledGraph(401, tuple((i, i + 1) for i in range(400)))
-        with pytest.raises(SizeGuardError, match="401"):
-            enumerate_all(path)
-        assert len(list(enumerate_all(path, cap=None))) == 1
+        assert [t.edge_indices for t in enumerate_all(path)] == [tuple(range(400))]
         # the search keeps no stack frame per edge, so depth is unbounded
         long_path = LabeledGraph(1500, tuple((i, i + 1) for i in range(1499)))
-        assert len(list(enumerate_all(long_path, cap=None))) == 1
-
-    def test_limit_within_cap_needs_no_count(self):
-        # min(count, limit) <= limit <= cap: the count past the Bareiss guard
-        # is never taken
-        path = LabeledGraph(401, tuple((i, i + 1) for i in range(400)))
-        assert [t.edge_indices for t in enumerate_all(path, limit=1)] == [tuple(range(400))]
+        assert len(list(enumerate_all(long_path))) == 1
 
     def test_first_tree_of_a_deep_jahangir_graph(self):
         g = build_jahangir(JahangirParams(400, 3))
-        assert verify_spanning_tree(g, next(enumerate_all(g, cap=None)))
+        assert verify_spanning_tree(g, next(enumerate_all(g)))
 
 
 class TestEnumerateJahangir:
@@ -175,25 +159,9 @@ class TestEnumerateJahangir:
         assert len(list(enumerate_jahangir(params, limit=7))) == 7
         assert list(enumerate_jahangir(params, limit=0)) == []
 
-    def test_cap_rejects_large_run(self):
-        with pytest.raises(EnumerationCapError):
-            enumerate_jahangir(JahangirParams(3, 16))
-
     def test_cap_with_limit_allows_peek(self):
         trees = list(enumerate_jahangir(JahangirParams(3, 16), limit=4))
         assert len(trees) == 4
-
-    def test_limit_within_cap_needs_no_count(self, monkeypatch):
-        import jahangir.enumeration as enum_mod
-
-        def refuse(n, m):
-            raise AssertionError("sigma computed for a listing the limit keeps under the cap")
-
-        monkeypatch.setattr(enum_mod, "sigma", refuse)
-        params = JahangirParams(2, 3000)
-        (tree,) = enumerate_jahangir(params, limit=1)
-        assert tree.edge_indices == (*range(1, 6000), 6000)
-        assert verify_spanning_tree(build_jahangir(params), tree)
 
 
 # J(2..4, 3..8) with at most 13 000 trees: both producers list each quickly

@@ -2,7 +2,8 @@
 
 The closed forms in combinatorics (A_k and the recurrence) are checked
 against the spoke-subset census they summarise and against the matrix tree
-theorem on the built graph.  The matrix tree theorem's cycle-minor path is
+theorem on the built graph, and the term-by-term coefficients against the
+binomial form of A_k.  The matrix tree theorem's cycle-minor path is
 checked against Bareiss elimination of the explicit minor, and its Bareiss
 fallback against the generic enumerator.  The generic enumerator is checked
 tree by tree against a filter over all (|V| - 1)-edge subsets, on larger
@@ -41,6 +42,7 @@ from jahangir import (
     verify_spanning_tree,
 )
 from jahangir.cli import _engine_versions, main
+from jahangir.combinatorics import _coefficient
 from jahangir.cycles import _edge_set_is_simple_cycle
 from jahangir.matrix_tree import _cycle_order, _det_fraction_free, _laplacian_minor
 
@@ -122,6 +124,13 @@ def test_coefficients_equal_census_sums(m):
     ]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 300))
+def test_coefficient_recurrence_equals_binomial_form(m):
+    # each term from the one before, against A_k = (m/k) C(m+k-1, 2k-1) on its own
+    assert polynomial_coefficients(m) == tuple(_coefficient(m, k) for k in range(1, m + 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 50), st.integers(3, 300))
 def test_per_k_sums_to_recurrence_total(n, m):
@@ -155,7 +164,7 @@ def test_bareiss_fallback_equals_enumeration(case):
     assert _cycle_order(g, apex) is None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # disconnected: no trees
-        listed = sum(1 for _ in enumerate_all(g, cap=None))
+        listed = sum(1 for _ in enumerate_all(g))
     assert count_spanning_trees_det(g, deleted_vertex=apex) == listed
 
 
@@ -225,7 +234,9 @@ def listing_query(draw):
     """(n, m, limit, timestamp): n = 1 is refused, limits reach past sigma."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(3, 7))
     total = sigma(n, m).total if n >= 2 else 0
-    limits = [st.just(0), st.just(1), st.integers(0, min(total, LISTING_BUDGET))]
+    # n * m^2 trees keep one spoke: a limit up to it is announced without sigma
+    limits = [st.just(0), st.just(1), st.integers(0, min(total, LISTING_BUDGET)),
+              st.just(n * m * m), st.just(n * m * m + 1)]
     if total <= LISTING_BUDGET:
         limits += [st.none(), st.integers(total + 1, total + 100)]
     return n, m, draw(st.one_of(limits)), draw(st.booleans())
@@ -246,6 +257,8 @@ def test_streamed_enumerate_equals_one_piece_json(query):
     result = {"n": n, "m": m, "limit": limit, "count": len(trees), "trees": trees}
     parameters = {"n": n, "m": m, "limit": limit, "format": "json"}
     assert code == 0
+    total = sigma(n, m).total  # the count announced on either side of limit n * m^2
+    assert json.loads(out)["result"]["count"] == (total if limit is None else min(limit, total))
     assert mask_timestamp(out) == one_piece("enumerate", parameters, result, timestamp)
 
 
