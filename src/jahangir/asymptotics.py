@@ -1,8 +1,9 @@
 """Growth of the spanning-tree counts in both directions.
 
 a(n, m) = sigma(n, m+1) / sigma(n, m) is kept as an exact Fraction; decimal
-strings are rendering only.  Totals come from one pass of the recurrence in
-combinatorics.sigma_table.  The m-direction ratios appear to converge to a
+strings are rendering only.  A ratio series reads its totals from one pass
+of the recurrence in combinatorics.sigma_table; every other total is one
+combinatorics.sigma_total.  The m-direction ratios appear to converge to a
 constant per n (estimated with a bracket, never asserted as a limit); the
 n-direction ratios decrease toward 1.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import sigma_table
+from .combinatorics import sigma_table, sigma_total
 from .errors import require_at_least
 
 
@@ -106,8 +107,7 @@ def ratio(n: int, m: int) -> Fraction:
     """a(n, m) = sigma(n, m+1) / sigma(n, m), exact."""
     require_at_least(n, 2, "n")
     require_at_least(m, 3, "m")
-    (_, before), (_, after) = sigma_table(n, m + 1)[-2:]
-    return Fraction(after, before)
+    return Fraction(sigma_total(n, m + 1), sigma_total(n, m))
 
 
 def ratio_series(n: int, m_max: int, places: int = 9) -> RatioSeries:
@@ -124,7 +124,7 @@ def ratio_series(n: int, m_max: int, places: int = 9) -> RatioSeries:
 def n_direction_ratios(m: int, n_max: int) -> NDirectionRatios:
     require_at_least(m, 3, "m")
     require_at_least(n_max, 3, "n_max")
-    totals = [sigma_table(n, m)[-1][1] for n in range(2, n_max + 1)]
+    totals = [sigma_total(n, m) for n in range(2, n_max + 1)]
     entries = [(n, Fraction(cur, prev))
                for n, prev, cur in zip(range(3, n_max + 1), totals, totals[1:])]
     decreasing = all(entries[i][1] > entries[i + 1][1] for i in range(len(entries) - 1))
@@ -139,9 +139,8 @@ def delta_estimate(n: int, m_used: int = 20, places: int = 12) -> DeltaEstimate:
     """
     require_at_least(n, 2, "n")
     require_at_least(m_used, 6, "m_used")
-    (_, s0), (_, s1), (_, s2) = sigma_table(n, m_used + 1)[-3:]
-    point = Fraction(s2, s1)
-    lo, hi = sorted((Fraction(s1, s0), point))
+    point = ratio(n, m_used)
+    lo, hi = sorted((ratio(n, m_used - 1), point))
     return DeltaEstimate(n, m_used, decimal_round_half_even(point, places), (lo, hi))
 
 
@@ -150,12 +149,9 @@ def conjecture_report(n: int, m: int, m_used: int = 20) -> ConjectureReport:
     the estimated m-direction ratio.  Exact rational arithmetic throughout;
     m = 3 is the degenerate exponent-zero case where both sides coincide.
     """
-    require_at_least(n, 2, "n")
-    require_at_least(m, 3, "m")
+    actual = sigma_total(n, m)  # refuses n, then m, before any work
     point = ratio(n, m_used)
-    rows = sigma_table(n, m)
-    predicted = point ** (m - 3) * rows[0][1]
-    actual = rows[-1][1]
+    predicted = point ** (m - 3) * sigma_total(n, 3)
     rel = abs(predicted - actual) / actual
     return ConjectureReport(
         n=n,

@@ -34,7 +34,7 @@ from operator import attrgetter
 
 from . import __version__
 from .asymptotics import ratio_series
-from .combinatorics import polynomial_coefficients, sigma, sigma_table
+from .combinatorics import polynomial_coefficients, sigma, sigma_table, sigma_total
 from .cycles import census_records
 from .enumeration import enumerate_all, enumerate_jahangir
 from .errors import EnumerationCapError
@@ -56,23 +56,25 @@ def _engine_versions() -> dict:
     return _ENGINE_VERSIONS
 
 
-def _emit(command: str, parameters: dict, result, timestamp: bool,
-          rows=None, render=None, labels: int = 0) -> int:
+def _emit(args, result, rows=None, render=None, labels: int = 0) -> int:
     """Print the envelope as json.dumps(indent=2) would.
 
-    With rows, result's last field must hold []: the rows are streamed in
-    its place, and their number is returned.  No list of all rows is built.
+    The parameters echoed are the parsed arguments in declared order, less
+    --timestamp, --allow-huge, the command and its handler.  With rows,
+    result's last field must hold []: the rows are streamed in its place,
+    and their number is returned.  No list of all rows is built.
     render(chunk, label) gives the text of a chunk of rows, label(i) the
     text of an int i in range(labels).  The streamed listings are
     enumerate's trees, graph's edges and cycles' records.
     """
     envelope = {
-        "command": command,
-        "parameters": parameters,
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k not in ("timestamp", "command", "func", "allow_huge")},
         "result": result,
         "engine_versions": _engine_versions(),
     }
-    if timestamp:
+    if args.timestamp:
         envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(envelope, indent=2)
     if rows is None:
@@ -128,18 +130,22 @@ def _planned(n: int, m: int, limit, allow_huge: bool) -> int:
     """The number of trees a listing of J(n, m) yields, min(limit, sigma).
 
     Refused (EnumerationCapError) above TREE_CAP unless allow_huge.  J(n, m)
-    has n * m^2 trees that keep a single spoke, so sigma is at least that,
-    and a limit within it is the answer with no count taken.
+    has n * m^2 trees that keep a single spoke, so sigma exceeds that: a
+    limit within it is the answer with no count taken, and with no smaller
+    limit an n * m^2 above the cap refuses the listing with no count taken.
     """
-    if limit is not None and limit <= n * m * m:
+    one_spoke, more = n * m * m, ""
+    if limit is not None and limit <= one_spoke:
         planned = limit
+    elif one_spoke > TREE_CAP and not allow_huge:
+        planned, more = one_spoke, "more than "
     else:
-        planned = sigma_table(n, m)[-1][1]
+        planned = sigma_total(n, m)
         if limit is not None:
             planned = min(planned, limit)
     if planned > TREE_CAP and not allow_huge:
-        raise EnumerationCapError(f"enumeration would yield {planned} trees, above the cap of "
-                                  f"{TREE_CAP}; raise or disable the cap to proceed")
+        raise EnumerationCapError(f"enumeration would yield {more}{planned} trees, above the "
+                                  f"cap of {TREE_CAP}; raise or disable the cap to proceed")
     return planned
 
 
@@ -148,10 +154,8 @@ def _cmd_count(args) -> int:
     if args.method in ("enumerate", "all"):
         _planned(args.n, args.m, None, args.allow_huge)
     engines = {}
-    if args.method in ("combinatorial", "all") or args.breakdown:
-        counted = sigma(args.n, args.m)
     if args.method in ("combinatorial", "all"):
-        engines["combinatorial"] = counted.total
+        engines["combinatorial"] = sigma_total(args.n, args.m)
     if args.method != "combinatorial":
         g = build_jahangir(params)
     if args.method in ("kirchhoff", "all"):
@@ -170,10 +174,9 @@ def _cmd_count(args) -> int:
     else:
         result["total"] = str(engines[args.method])
     if args.breakdown:
-        result["per_k"] = [str(v) for v in counted.per_k]
+        result["per_k"] = [str(v) for v in sigma(args.n, args.m).per_k]
 
-    _emit("count", {"n": args.n, "m": args.m, "method": args.method, "breakdown": args.breakdown},
-          result, args.timestamp)
+    _emit(args, result)
     if not agreement:
         print(f"engine disagreement for n={args.n} m={args.m}: " +
               ", ".join(f"{k}={v}" for k, v in engines.items()), file=sys.stderr)
@@ -184,7 +187,7 @@ def _cmd_count(args) -> int:
 def _cmd_coeffs(args) -> int:
     coeffs = polynomial_coefficients(args.m)
     result = {"m": args.m, "coefficients": [str(c) for c in coeffs]}
-    _emit("coeffs", {"m": args.m}, result, args.timestamp)
+    _emit(args, result)
     return 0
 
 
@@ -200,10 +203,8 @@ def _cmd_enumerate(args) -> int:
     # count precedes trees in the envelope, so it is announced as planned
     # and checked afterwards
     result = {"n": args.n, "m": args.m, "limit": args.limit, "count": count, "trees": []}
-    written = _emit("enumerate",
-                    {"n": args.n, "m": args.m, "limit": args.limit, "format": args.format},
-                    result, args.timestamp,
-                    map(attrgetter("edge_indices"), trees), _int_list_rows, params.edge_count)
+    written = _emit(args, result, map(attrgetter("edge_indices"), trees), _int_list_rows,
+                    params.edge_count)
     if written != count:
         print(f"error: listed {written} trees, announced {count}", file=sys.stderr)
         return 4
@@ -218,7 +219,7 @@ def _cmd_cycles(args) -> int:
     result = {"m": m, "record_count": m * m, "simple_cycle_count": m * m - m,
               "length_histogram": {str(2 * (k + 1)): m for k in range(1, m + 1)},
               "records": []}
-    _emit("cycles", {"m": m}, result, args.timestamp, records, _cycle_record_rows, 3 * m)
+    _emit(args, result, records, _cycle_record_rows, 3 * m)
     return 0
 
 
@@ -231,25 +232,17 @@ def _cmd_table(args) -> int:
         return 0
     result = {"n": args.n, "m_max": args.m_max,
               "rows": [{"m": m, "sigma": str(total)} for m, total in rows]}
-    _emit("table", {"n": args.n, "m_max": args.m_max, "format": args.format},
-          result, args.timestamp)
+    _emit(args, result)
     return 0
 
 
 def _cmd_ratios(args) -> int:
-    series = ratio_series(args.n, args.m_max, places=args.precision)
-    entries = []
-    for e in series.entries:
-        decimal = e.decimal.replace(".", ",") if args.decimal_comma else e.decimal
-        entries.append({
-            "m": e.m,
-            "ratio": f"{e.ratio.numerator}/{e.ratio.denominator}",
-            "decimal": decimal,
-        })
+    entries = [{"m": e.m, "ratio": f"{e.ratio.numerator}/{e.ratio.denominator}",
+                "decimal": e.decimal.replace(".", ",") if args.decimal_comma else e.decimal}
+               for e in ratio_series(args.n, args.m_max, places=args.precision).entries]
     result = {"n": args.n, "m_max": args.m_max, "precision": args.precision,
               "entries": entries}
-    _emit("ratios", {"n": args.n, "m_max": args.m_max, "precision": args.precision,
-                     "decimal_comma": args.decimal_comma}, result, args.timestamp)
+    _emit(args, result)
     return 0
 
 
@@ -261,8 +254,7 @@ def _cmd_graph(args) -> int:
         return 0
     result = {"n": args.n, "m": args.m, "vertex_count": g.vertex_count,
               "edge_count": g.edge_count, "edges": []}
-    _emit("graph", {"n": args.n, "m": args.m, "format": args.format},
-          result, args.timestamp, g.edges, _int_list_rows, g.vertex_count)
+    _emit(args, result, g.edges, _int_list_rows, g.vertex_count)
     return 0
 
 

@@ -17,13 +17,15 @@ combinations, so the totals are unaffected.
 
 The census sums in closed form: the trees keeping k spokes number n^k * A_k
 with A_k = (m/k) * C(m+k-1, 2k-1), and sigma(n, m) = L_m - 2 where L_0 = 2,
-L_1 = n + 2 and L_m = (n + 2) L_{m-1} - L_{m-2}.
+L_1 = n + 2 and L_m = (n + 2) L_{m-1} - L_{m-2}, stepped only in _totals:
+sigma_total reads one value of it, sigma_table its first rows.  Only a
+per-k breakdown needs sigma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, prod
 
 from .errors import ParameterDomainError, require_at_least
@@ -156,14 +158,23 @@ def polynomial_coefficients(m: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _totals(n: int):
+    # sigma(n, 3), sigma(n, 4), ... as L_m - 2, one recurrence step a row
+    prev, cur = n + 2, (n + 2) ** 2 - 2  # L_1, L_2
+    while True:
+        prev, cur = cur, (n + 2) * cur - prev
+        yield cur - 2
+
+
+def sigma_total(n: int, m: int) -> int:
+    """sigma(n, m) alone, in O(1) memory: the (m - 3)-th value of the recurrence."""
+    require_at_least(n, 2, "n")
+    require_at_least(m, 3, "m")
+    return next(islice(_totals(n), m - 3, None))
+
+
 def sigma_table(n: int, m_max: int) -> tuple[tuple[int, int], ...]:
     """Rows (m, sigma(n, m)) for m = 3..m_max, from one pass of the recurrence."""
     require_at_least(n, 2, "n")
     require_at_least(m_max, 3, "m_max")
-    rows = []
-    prev, cur = 2, n + 2  # L_0, L_1
-    for m in range(2, m_max + 1):
-        prev, cur = cur, (n + 2) * cur - prev
-        if m >= 3:
-            rows.append((m, cur - 2))
-    return tuple(rows)
+    return tuple(zip(range(3, m_max + 1), _totals(n)))

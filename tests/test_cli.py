@@ -34,6 +34,14 @@ class TestCount:
         assert code == 0
         assert payload["result"]["total"] == "77132286525"
 
+    def test_total_needs_no_breakdown(self, capsys, monkeypatch):
+        import jahangir.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "sigma", refuse)
+        code, payload = run_json(capsys, ["count", "--n", "2", "--m", "40"])
+        assert code == 0
+        assert payload["result"]["total"] == str(sigma(2, 40).total)
+
     def test_method_kirchhoff(self, capsys):
         code, payload = run_json(capsys, ["count", "--n", "2", "--m", "4",
                                           "--method", "kirchhoff"])
@@ -218,6 +226,7 @@ class TestEnumerate:
 
         monkeypatch.setattr(cli_mod, "sigma", refuse)
         monkeypatch.setattr(cli_mod, "sigma_table", refuse)
+        monkeypatch.setattr(cli_mod, "sigma_total", refuse)
         code, payload = run_json(capsys, ["enumerate", "--n", "2", "--m", "3000",
                                           "--limit", "1"])
         assert code == 0
@@ -284,6 +293,44 @@ def test_cap_refusal_line(capsys, command, n, m):
     assert captured.out == ""
     assert captured.err == (f"error: enumeration would yield {sigma(n, m).total} trees, above "
                             "the cap of 10000000; raise or disable the cap to proceed\n")
+
+
+@pytest.mark.parametrize("m", [3000, 8000, 20000])
+@pytest.mark.parametrize("command", [["enumerate"], ["enumerate", "--format", "dot"],
+                                     ["count", "--method", "enumerate"]])
+def test_one_spoke_trees_over_cap_refuse_with_no_count(capsys, monkeypatch, command, m):
+    # sigma exceeds the 2 * m^2 trees that keep one spoke, already above the
+    # cap; from m = 7500 or so sigma has too many digits to print at all
+    import jahangir.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "sigma_total", refuse)
+    code = main(command + ["--n", "2", "--m", str(m)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"error: enumeration would yield more than {2 * m * m} trees, "
+                            "above the cap of 10000000; raise or disable the cap to proceed\n")
+
+
+def test_limit_over_cap_within_one_spoke_trees(capsys, monkeypatch):
+    import jahangir.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "sigma_total", refuse)
+    assert main(["enumerate", "--n", "3", "--m", "2000", "--limit", "10000001"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "would yield 10000001 trees" in captured.err
+
+
+def test_admission_memory_flat_in_m():
+    import jahangir.cli as cli_mod
+
+    tracemalloc.start()
+    try:
+        cli_mod._planned(2, 20000, None, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_refusal_order(capsys):

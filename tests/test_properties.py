@@ -42,7 +42,7 @@ from jahangir import (
     verify_spanning_tree,
 )
 from jahangir.cli import _engine_versions, main
-from jahangir.combinatorics import _coefficient
+from jahangir.combinatorics import _coefficient, sigma_total
 from jahangir.cycles import _edge_set_is_simple_cycle
 from jahangir.matrix_tree import _cycle_order, _det_fraction_free, _laplacian_minor
 
@@ -134,7 +134,7 @@ def test_coefficient_recurrence_equals_binomial_form(m):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 50), st.integers(3, 300))
 def test_per_k_sums_to_recurrence_total(n, m):
-    assert sum(sigma(n, m).per_k) == sigma_table(n, m)[-1][1]
+    assert sum(sigma(n, m).per_k) == sigma_table(n, m)[-1][1] == sigma_total(n, m)
 
 
 @settings(max_examples=30, deadline=None)
