@@ -30,13 +30,12 @@ import platform
 import sys
 from datetime import datetime, timezone
 from itertools import islice
-from operator import attrgetter
 
 from . import __version__
 from .asymptotics import ratio_series
 from .combinatorics import polynomial_coefficients, sigma, sigma_table, sigma_total
 from .cycles import census_records
-from .enumeration import enumerate_all, enumerate_jahangir
+from .enumeration import jahangir_tree_edge_indices, tree_edge_indices
 from .errors import EnumerationCapError
 from .graph_core import JahangirParams, build_jahangir, dot_renderer, to_dot
 from .matrix_tree import count_spanning_trees_det
@@ -161,7 +160,7 @@ def _cmd_count(args) -> int:
     if args.method in ("kirchhoff", "all"):
         engines["kirchhoff"] = count_spanning_trees_det(g)
     if args.method in ("enumerate", "all"):
-        engines["enumerate"] = sum(1 for _ in enumerate_all(g))
+        engines["enumerate"] = sum(1 for _ in tree_edge_indices(g))
 
     result = {"n": args.n, "m": args.m, "method": args.method}
     agreement = True
@@ -193,18 +192,17 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     params = JahangirParams(args.n, args.m)
-    trees = enumerate_jahangir(params, limit=args.limit)  # refuses a negative limit
+    trees = jahangir_tree_edge_indices(params, args.limit)  # refuses a negative limit
     count = _planned(args.n, args.m, args.limit, args.allow_huge)
     if args.format == "dot":
         draw = dot_renderer(build_jahangir(params))
         for i, t in enumerate(trees):
-            sys.stdout.write(("\n" if i else "") + draw(t.edge_indices, f"tree_{i}"))
+            sys.stdout.write(("\n" if i else "") + draw(t, f"tree_{i}"))
         return 0
     # count precedes trees in the envelope, so it is announced as planned
     # and checked afterwards
     result = {"n": args.n, "m": args.m, "limit": args.limit, "count": count, "trees": []}
-    written = _emit(args, result, map(attrgetter("edge_indices"), trees), _int_list_rows,
-                    params.edge_count)
+    written = _emit(args, result, trees, _int_list_rows, params.edge_count)
     if written != count:
         print(f"error: listed {written} trees, announced {count}", file=sys.stderr)
         return 4
@@ -225,6 +223,7 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_table(args) -> int:
     rows = sigma_table(args.n, args.m_max)
+    str(rows[-1][1])  # the largest sigma: past the digit limit, refused before any output
     if args.format == "csv":
         print("m,sigma")
         for m, total in rows:

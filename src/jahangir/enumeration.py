@@ -1,23 +1,23 @@
 """Explicit spanning-tree listings.
 
-Two independent producers:
+Two independent producers of strictly ascending edge-index tuples:
 
-* enumerate_all walks any simple connected graph with include/exclude
-  backtracking over the edge list.  It is the validation oracle: slow but
-  graph-agnostic, yielding trees in lexicographic order of their sorted
-  edge-index tuples.  One loop with no recursion, so no depth limit, over
-  a union-find in three local lists: the test that the later edges still
-  span is their greedy completion, which, when it passes, is the next tree.
+* tree_edge_indices walks any simple connected graph with include/exclude
+  backtracking, in lexicographic order: the validation oracle.  One loop
+  over a union-find in three local lists: the test that the later edges
+  still span is their greedy completion, which, when it passes, is the
+  next tree.
 
-* enumerate_jahangir builds each tree of J(n, m) directly, no search: pick
-  a nonempty spoke subset, then delete exactly one rim edge from each arc
-  between cyclically consecutive kept spokes.  An arc spanning g skipped
-  spokes holds (g + 1) * n rim edges, which is where the counting formula's
-  product comes from.
+* jahangir_tree_edge_indices builds each tree of J(n, m) directly: a
+  nonempty spoke subset, less one rim edge (a hole) from each arc between
+  cyclically consecutive kept spokes.  An arc spanning g skipped spokes
+  holds (g + 1) * n rim edges: the counting formula's product.  Each tree
+  is spliced from runs of the rim, with no set and no sort.
 
-Both are lazy and apply limit by slicing the stream: a caller bounds the
-work by the limit or by how many trees it draws.  Neither counts the trees
-it is about to list; the CLI, which drains them, caps a listing up front.
+enumerate_all and enumerate_jahangir, the public face, wrap each tuple in a
+SpanningTree; the CLI draws the tuples.  All are lazy and apply limit by
+slicing the stream.  None counts the trees it is about to list; the CLI,
+which drains them, caps a listing up front.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator, Optional
 
-from .graph_core import JahangirParams, LabeledGraph, is_connected, rim_arc_edges, spoke_edge
+from .graph_core import JahangirParams, LabeledGraph, is_connected, spoke_edge
 
 
 @dataclass(frozen=True)
@@ -72,21 +72,28 @@ def verify_spanning_tree(g: LabeledGraph, tree: SpanningTree) -> bool:
     return True
 
 
+def tree_edge_indices(g: LabeledGraph,
+                      limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The edge-index tuples of enumerate_all(g, limit), with no tree objects."""
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
+    if not is_connected(g):
+        warnings.warn("graph is disconnected; no spanning trees exist", RuntimeWarning,
+                      stacklevel=3)  # the caller of enumerate_all
+        return iter(())
+    return islice(_backtrack_trees(g), limit)
+
+
 def enumerate_all(g: LabeledGraph, limit: Optional[int] = None) -> Iterator[SpanningTree]:
     """Every spanning tree of g exactly once, lexicographic on edge indices.
 
     A disconnected graph produces an empty stream after a RuntimeWarning.
     limit stops the stream early.
     """
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
-    if not is_connected(g):
-        warnings.warn("graph is disconnected; no spanning trees exist", RuntimeWarning, stacklevel=2)
-        return iter(())
-    return islice(_backtrack_trees(g), limit)
+    return map(_tree, tree_edge_indices(g, limit))
 
 
-def _backtrack_trees(g: LabeledGraph) -> Iterator[SpanningTree]:
+def _backtrack_trees(g: LabeledGraph) -> Iterator[tuple[int, ...]]:
     # Include/exclude search, include first: trees come out in lexicographic
     # order.  After a tree ending in edge i, i is left out and edges[i + 1:]
     # complete the rest greedily, taking each edge that joins two components.
@@ -119,7 +126,7 @@ def _backtrack_trees(g: LabeledGraph) -> Iterator[SpanningTree]:
                 if have == need:
                     break
         if have == need:
-            yield _tree(tuple(chosen))
+            yield tuple(chosen)
             keep = need - 1
         else:
             keep = base - 1
@@ -134,15 +141,12 @@ def _backtrack_trees(g: LabeledGraph) -> Iterator[SpanningTree]:
             size[u] -= size[v]
 
 
-def _lex_spoke_subsets(m: int) -> Iterator[tuple[int, ...]]:
-    # nonempty subsets of 1..m in lexicographic tuple order:
-    # (1), (1,2), (1,2,3), ..., (1,3), ..., (m)
-    stack = [(j,) for j in range(m, 0, -1)]
-    while stack:
-        s = stack.pop()
-        yield s
-        for nxt in range(m, s[-1], -1):
-            stack.append(s + (nxt,))
+def jahangir_tree_edge_indices(params: JahangirParams,
+                               limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The edge-index tuples of enumerate_jahangir(params, limit), with no tree objects."""
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
+    return islice(_structured_trees(params), limit)
 
 
 def enumerate_jahangir(params: JahangirParams,
@@ -153,18 +157,35 @@ def enumerate_jahangir(params: JahangirParams,
     edge is deleted per arc, candidates in ascending rim-index order.  The
     yielded set of trees equals enumerate_all on the same graph.
     """
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
-    return islice(_structured_trees(params), limit)
+    return map(_tree, jahangir_tree_edge_indices(params, limit))
 
 
-def _structured_trees(params: JahangirParams) -> Iterator[SpanningTree]:
-    all_rim = set(range(params.n * params.m))
-    for subset in _lex_spoke_subsets(params.m):
-        k = len(subset)
-        # the rim from spoke j forward to the next kept spoke (all of it when k == 1)
-        arcs = [rim_arc_edges(params, j, (subset[(i + 1) % k] - j - 1) % params.m + 1)
-                for i, j in enumerate(subset)]
-        spoke_edges = tuple(spoke_edge(params, j) for j in subset)
-        for deletion in product(*arcs):
-            yield _tree(tuple(sorted(all_rim.difference(deletion))) + spoke_edges)
+def _structured_trees(params: JahangirParams) -> Iterator[tuple[int, ...]]:
+    # Holes run in the order of product(*arcs), the wrap arc fastest; each
+    # tree is spliced from runs of one row, the rim then the kept spokes.
+    n, m, nm = params.n, params.m, params.n * params.m
+    rim = tuple(range(nm))
+    stack = [(j,) for j in range(m, 0, -1)]  # (1), (1, 2), ..., (1, 3), ..., (m)
+    while stack:  # the nonempty spoke subsets, in lexicographic order
+        subset = stack.pop()
+        stack += [subset + (j,) for j in range(m, subset[-1], -1)]
+        row = rim + tuple(spoke_edge(params, j) for j in subset)
+        cuts = [(j - 1) * n for j in subset]  # the edge leaving each kept spoke
+        first, last, shift = cuts[0], cuts[-1], 1 - len(cuts)
+        for holes in product(*map(range, cuts, cuts[1:])):
+            mid = []  # the inner arcs, joined once for all the wrap arc's holes
+            for a, b in zip((first - 1, *holes), (*holes, last)):
+                mid += row[a + 1:b]
+            # the wrap arc's hole slides up its part below the first kept spoke,
+            # then up its part from the last, putting back each edge it leaves
+            if first:
+                tree = [*row[1:first], *mid, *row[last:]]
+                yield tuple(tree)
+                for i in range(first - 1):
+                    tree[i] = i
+                    yield tuple(tree)
+            tree = [*row[:first], *mid, *row[last + 1:]]
+            yield tuple(tree)
+            for i in range(last, nm - 1):
+                tree[i + shift] = i  # k - 1 inner holes lie below
+                yield tuple(tree)

@@ -238,8 +238,8 @@ class TestEnumerate:
         # of it is reported after the fact
         import jahangir.cli as cli_mod
 
-        real = cli_mod.enumerate_jahangir
-        monkeypatch.setattr(cli_mod, "enumerate_jahangir",
+        real = cli_mod.jahangir_tree_edge_indices
+        monkeypatch.setattr(cli_mod, "jahangir_tree_edge_indices",
                             lambda *a, **kw: islice(real(*a, **kw), 1, None))
         code = main(["enumerate", "--n", "2", "--m", "3"])
         captured = capsys.readouterr()
@@ -264,6 +264,23 @@ class TestEnumerate:
             finally:
                 tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_builds_no_tree_object(self, capsys, monkeypatch):
+        # listings and counts draw the producers' index tuples, never a SpanningTree
+        import jahangir.enumeration as enumeration
+
+        argvs = [["enumerate", "--n", "3", "--m", "5"],
+                 ["enumerate", "--n", "3", "--m", "5", "--format", "dot"],
+                 ["count", "--method", "all", "--n", "3", "--m", "4"],
+                 ["count", "--method", "enumerate", "--n", "3", "--m", "4"]]
+        expected = []
+        for argv in argvs:
+            assert main(argv) == 0
+            expected.append(capsys.readouterr().out)
+        monkeypatch.setattr(enumeration, "_tree", refuse)
+        for argv, out in zip(argvs, expected):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
 
     def test_dot_stream_survives_closed_pipe(self):
         # a consumer that stops reading early (head, a pager) must not
@@ -404,6 +421,17 @@ class TestTableAndRatios:
         assert code == 0
         rows = payload["result"]["rows"]
         assert rows[-1] == {"m": 9, "sigma": "1330668"}
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter prints ints of any length")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_past_the_digit_limit_refused_before_any_output(self, capsys, fmt):
+        # sigma(2, 20000) has about 11 000 digits, past CPython's default 4300
+        code = main(["table", "--n", "2", "--m-max", "20000", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_ratios_first_entry(self, capsys):
         code, payload = run_json(capsys, ["ratios", "--n", "2", "--m-max", "5",

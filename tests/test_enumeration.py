@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import islice
+
 import pytest
 
 from jahangir import (
@@ -12,6 +15,7 @@ from jahangir import (
     verify_spanning_tree,
 )
 from jahangir.cli import main
+from jahangir.enumeration import _structured_trees
 
 
 class TestEnumerateAll:
@@ -158,6 +162,19 @@ class TestEnumerateJahangir:
         params = JahangirParams(2, 4)
         assert len(list(enumerate_jahangir(params, limit=7))) == 7
         assert list(enumerate_jahangir(params, limit=0)) == []
+
+    def test_memory_flat_in_arc_length(self):
+        # 2 * nm + 2 trees reach the whole-rim subset (1,) and the long wrap
+        # arc of (1, 2); a tree is about 16 KiB here
+        params = JahangirParams(2, 1000)
+        tracemalloc.start()
+        try:
+            for _ in islice(_structured_trees(params), 2 * 2000 + 2):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_cap_with_limit_allows_peek(self):
         trees = list(enumerate_jahangir(JahangirParams(3, 16), limit=4))

@@ -8,9 +8,10 @@ checked against Bareiss elimination of the explicit minor, and its Bareiss
 fallback against the generic enumerator.  The generic enumerator is checked
 tree by tree against a filter over all (|V| - 1)-edge subsets, on larger
 graphs against the determinant, and the structured enumerator against the
-generic one.  The CLI's streamed JSON listings are checked byte for byte
-against json.dumps(indent=2) of the envelope built in one piece, and its
-DOT listing line by line against the trees it draws.
+generic one and, far along long arcs, against its definition.  The CLI's
+streamed JSON listings are checked byte for byte against
+json.dumps(indent=2) of the envelope built in one piece, and its DOT
+listing line by line against the trees it draws.
 """
 
 import json
@@ -18,7 +19,7 @@ import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
-from itertools import combinations
+from itertools import combinations, islice, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,8 @@ from jahangir import (
 from jahangir.cli import _engine_versions, main
 from jahangir.combinatorics import _coefficient, sigma_total
 from jahangir.cycles import _edge_set_is_simple_cycle
+from jahangir.enumeration import jahangir_tree_edge_indices
+from jahangir.graph_core import rim_arc_edges, spoke_edge
 from jahangir.matrix_tree import _cycle_order, _det_fraction_free, _laplacian_minor
 
 
@@ -201,6 +204,36 @@ def test_structured_listing_equals_generic_listing(nm):
     structured = sorted(enumerate_jahangir(params), key=lambda t: t.edge_indices)
     assert structured == list(enumerate_all(build_jahangir(params)))
     assert len(structured) == sigma(*nm).total
+
+
+def lex_spoke_subsets(m, head=()):
+    """Nonempty subsets of 1..m in lexicographic tuple order, extending head."""
+    for j in range(head[-1] + 1 if head else 1, m + 1):
+        yield head + (j,)
+        yield from lex_spoke_subsets(m, head + (j,))
+
+
+def structured_deletions(params):
+    """The structured order by its definition: for each spoke subset, the
+    product of its arcs' rim edges, one deleted per arc, the wrap arc fastest."""
+    for subset in lex_spoke_subsets(params.m):
+        k = len(subset)
+        arcs = [rim_arc_edges(params, j, (subset[(i + 1) % k] - j - 1) % params.m + 1)
+                for i, j in enumerate(subset)]
+        spokes = tuple(spoke_edge(params, j) for j in subset)
+        for deletion in product(*arcs):
+            yield deletion, spokes
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 30), st.integers(3, 25), st.integers(0, 5000), st.integers(0, 200))
+def test_spliced_trees_equal_sorted_set_difference(n, m, skip, take):
+    # arcs up to 750 rim edges long, past the graphs the generic check can list
+    params = JahangirParams(n, m)
+    rim = set(range(n * m))
+    expected = [tuple(sorted(rim.difference(deletion))) + spokes for deletion, spokes
+                in islice(structured_deletions(params), skip, skip + take)]
+    assert list(islice(jahangir_tree_edge_indices(params), skip, skip + take)) == expected
 
 
 # Trees the one-piece reference renders in about a second and a half: only
