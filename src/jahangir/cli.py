@@ -3,13 +3,14 @@
 Every JSON-producing command wraps its payload in one envelope document:
 command name, echoed parameters, result, engine versions.  Counts that can
 exceed JSON's safe integer range are serialized as decimal strings.  Output
-is deterministic; an optional timestamp field is off by default.
+is deterministic; an optional timestamp field is off by default.  One
+writer, _json, gives every envelope the json module's indent=2 bytes with
+its C string encoder: given an indent, CPython 3.10/3.11 encode in Python.
 
 Three listings stream: the trees of `enumerate`, the edges of `graph` and
-the records of `cycles`.  The rest of the envelope is rendered once, then
-the rows are written in chunks as they are produced, byte-identical to
-json.dumps(indent=2) of the whole.  `enumerate --format dot` draws each
-tree with one DOT renderer made once for the host graph.
+the records of `cycles` are written in chunks as they are produced, inside
+an envelope rendered once, byte-identical to the whole.  `enumerate
+--format dot` draws each tree with one DOT renderer built once per graph.
 
 The tree cap lives here, not in the enumerators, which are lazy: _planned
 sizes a listing of J(n, m) from its parameters alone, and `enumerate` and
@@ -24,12 +25,12 @@ length differs from the count announced before it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
 import sys
 from datetime import datetime, timezone
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _string  # C, where CPython has it
+from platform import python_version
 
 from . import __version__
 from .asymptotics import ratio_series
@@ -45,26 +46,45 @@ _ENGINE_VERSIONS: dict = {}
 
 
 def _engine_versions() -> dict:
-    # numpy's version comes from its installed metadata: importing numpy
-    # would cost more than the rest of a JSON command.  Looked up once.
+    # from numpy's metadata, as importing numpy costs more than a JSON command
     if not _ENGINE_VERSIONS:
         from importlib import metadata
-
-        _ENGINE_VERSIONS.update(jahangir=__version__, python=platform.python_version(),
-                                numpy=metadata.version("numpy"))
+        try:
+            numpy = metadata.version("numpy")
+        except metadata.PackageNotFoundError:  # numpy is an optional extra
+            numpy = "not installed"
+        _ENGINE_VERSIONS.update(jahangir=__version__, python=python_version(), numpy=numpy)
     return _ENGINE_VERSIONS
 
 
+def _json(value, indent: str = "\n") -> str:
+    """value as the json module writes it at indent=2, or TypeError where that would differ."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None or value is True or value is False:  # bool is an int
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):  # _string raises TypeError on a key that is not a str
+        items, ends = [_string(k) + ": " + _json(v, inner) for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    else:  # float among them
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def _emit(args, result, rows=None, render=None, labels: int = 0) -> int:
-    """Print the envelope as json.dumps(indent=2) would.
+    """Print the envelope as _json writes it: given an indent, CPython 3.10
+    and 3.11 run json's pure-Python encoder, where _json keeps its C one.
 
     The parameters echoed are the parsed arguments in declared order, less
     --timestamp, --allow-huge, the command and its handler.  With rows,
     result's last field must hold []: the rows are streamed in its place,
-    and their number is returned.  No list of all rows is built.
+    and their number is returned, else 0.  No list of all rows is built.
     render(chunk, label) gives the text of a chunk of rows, label(i) the
-    text of an int i in range(labels).  The streamed listings are
-    enumerate's trees, graph's edges and cycles' records.
+    text of an int i in range(labels).
     """
     envelope = {
         "command": args.command,
@@ -75,14 +95,13 @@ def _emit(args, result, rows=None, render=None, labels: int = 0) -> int:
     }
     if args.timestamp:
         envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(envelope, indent=2)
+    text = _json(envelope)
     if rows is None:
         print(text)
         return 0
-    key = f'"{next(reversed(result))}": '
-    head, _, tail = text.partition(key + "[]")
+    head, key, tail = text.partition(f'"{next(reversed(result))}": []')
     write = sys.stdout.write
-    write(head + key + "[")
+    write(head + key[:-1])
     written = _write_rows(write, rows, render, labels)
     write(("\n    ]" if written else "]") + tail + "\n")
     return written
@@ -184,10 +203,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    coeffs = polynomial_coefficients(args.m)
-    result = {"m": args.m, "coefficients": [str(c) for c in coeffs]}
-    _emit(args, result)
-    return 0
+    return _emit(args, {"m": args.m,
+                        "coefficients": [str(c) for c in polynomial_coefficients(args.m)]})
 
 
 def _cmd_enumerate(args) -> int:
@@ -231,8 +248,7 @@ def _cmd_table(args) -> int:
         return 0
     result = {"n": args.n, "m_max": args.m_max,
               "rows": [{"m": m, "sigma": str(total)} for m, total in rows]}
-    _emit(args, result)
-    return 0
+    return _emit(args, result)
 
 
 def _cmd_ratios(args) -> int:
@@ -241,8 +257,7 @@ def _cmd_ratios(args) -> int:
                for e in ratio_series(args.n, args.m_max, places=args.precision).entries]
     result = {"n": args.n, "m_max": args.m_max, "precision": args.precision,
               "entries": entries}
-    _emit(args, result)
-    return 0
+    return _emit(args, result)
 
 
 def _cmd_graph(args) -> int:

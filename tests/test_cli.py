@@ -497,3 +497,21 @@ class TestParsing:
         code, payload = run_json(capsys, ["count", "--n", "2", "--m", "3"])
         assert set(payload) == {"command", "parameters", "result", "engine_versions"}
         assert set(payload["engine_versions"]) == {"jahangir", "python", "numpy"}
+
+    def test_numpy_metadata_absent(self, capsys, monkeypatch):
+        # numpy is an optional extra: with no metadata to read, every JSON
+        # command still answers, with a placeholder for its version
+        from importlib import metadata
+
+        import jahangir.cli as cli_mod
+
+        def not_installed(name):
+            raise metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(metadata, "version", not_installed)
+        monkeypatch.setattr(cli_mod, "_ENGINE_VERSIONS", {})
+        for argv in (["count", "--n", "2", "--m", "3"],
+                     ["graph", "--n", "2", "--m", "3", "--format", "json"]):
+            code, payload = run_json(capsys, argv)
+            assert code == 0
+            assert payload["engine_versions"]["numpy"] == "not installed"

@@ -1,0 +1,95 @@
+"""The CLI run in fresh interpreters: `count --method all`, the listing
+admission and its refusals, and two streamed listings in bounded memory.
+
+Each check runs in a fresh interpreter of its own (this file run as a
+script, with the check's name as its argument), which starts the CLI
+children and reads their peak RSS from RUSAGE_CHILDREN.  A child's peak
+includes the memory of the process that started it, so children started
+from the test session itself would carry its heap into the 64 MB bounds.
+"""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def cli(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "jahangir.cli", *argv],
+                          stdout=subprocess.PIPE, **kwargs)
+
+
+def largest_child_mb():
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+
+
+def check_count_all_and_listing_admission():
+    for n, m, total in ((3, 6, "12096"), (4, 5, "6724")):
+        run = cli("count", "--n", str(n), "--m", str(m), "--method", "all")
+        result = json.loads(run.stdout)["result"]
+        print(n, m, run.returncode, result)
+        assert run.returncode == 0
+        assert result["agreement"] is True and result["total"] == total
+    # a limit within the n * m^2 one-spoke trees is announced with no count taken
+    run = cli("enumerate", "--n", "2", "--m", "3000", "--limit", "1")
+    result = json.loads(run.stdout)["result"]
+    print(run.returncode, result["count"], len(result["trees"]))
+    assert run.returncode == 0 and result["count"] == len(result["trees"]) == 1
+    # the first tree is spliced in O(nm) memory; holding every tree of a
+    # whole-rim arc would take about 280 MB (the children so far are small)
+    rss_mb = largest_child_mb()
+    print(f"largest child: {rss_mb:.1f} MB")
+    assert rss_mb < 64
+    # sigma(2, 13) = 27246962 is above the cap: refused before any output
+    run = cli("count", "--method", "enumerate", "--n", "2", "--m", "13")
+    print(run.returncode, run.stdout)
+    assert run.returncode == 3 and run.stdout == b""
+    # an n * m^2 above the cap is refused with no count taken, while
+    # sigma itself has too many digits to print
+    for argv in (("count", "--method", "enumerate", "--n", "2", "--m", "20000"),
+                 ("enumerate", "--n", "2", "--m", "40000")):
+        run = cli(*argv, stderr=subprocess.PIPE)
+        print(run.returncode, run.stderr)
+        assert run.returncode == 3 and run.stdout == b""
+        assert run.stderr.count(b"\n") == 1 and b"more than" in run.stderr
+
+
+def check_streamed_listings_in_bounded_memory():
+    # both children start before any output is parsed: a child spawned
+    # later would count the parsed JSON of the parent in its peak RSS
+    runs = {("enumerate", "--n", "2", "--m", "9"): ("count", "trees", 140450),
+            ("cycles", "--m", "150"): ("record_count", "records", 22500)}
+    procs = [subprocess.Popen([sys.executable, "-m", "jahangir.cli", *argv],
+                              stdout=subprocess.PIPE) for argv in runs]
+    for proc, (count, rows, expected) in zip(procs, runs.values()):
+        result = json.load(proc.stdout)["result"]
+        assert proc.wait() == 0
+        print(result[count], len(result[rows]))
+        assert result[count] == len(result[rows]) == expected
+        del result
+    rss_mb = largest_child_mb()
+    print(f"largest child: {rss_mb:.1f} MB")
+    assert rss_mb < 64
+
+
+def in_fresh_interpreter(check):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, os.path.abspath(__file__), check.__name__],
+                         env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE,
+                         stderr=subprocess.STDOUT, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout
+
+
+def test_count_all_and_listing_admission():
+    in_fresh_interpreter(check_count_all_and_listing_admission)
+
+
+def test_streamed_listings_in_bounded_memory():
+    in_fresh_interpreter(check_streamed_listings_in_bounded_memory)
+
+
+if __name__ == "__main__":
+    globals()[sys.argv[1]]()

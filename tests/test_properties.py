@@ -9,8 +9,10 @@ fallback against the generic enumerator.  The generic enumerator is checked
 tree by tree against a filter over all (|V| - 1)-edge subsets, on larger
 graphs against the determinant, and the structured enumerator against the
 generic one and, far along long arcs, against its definition.  The CLI's
-streamed JSON listings are checked byte for byte against
-json.dumps(indent=2) of the envelope built in one piece, and its DOT
+envelope writer is checked against json.dumps(indent=2) over any document
+of the types it writes, and refuses every other type.  Every JSON command's
+output, streamed listings included, is checked byte for byte against
+json.dumps(indent=2) of the envelope built in one piece, and the DOT
 listing line by line against the trees it draws.
 """
 
@@ -18,10 +20,12 @@ import json
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from itertools import combinations, islice, product
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jahangir import (
@@ -42,7 +46,8 @@ from jahangir import (
     sigma_table,
     verify_spanning_tree,
 )
-from jahangir.cli import _engine_versions, main
+from jahangir.asymptotics import decimal_round_half_even
+from jahangir.cli import _engine_versions, _json, main
 from jahangir.combinatorics import _coefficient, sigma_total
 from jahangir.cycles import _edge_set_is_simple_cycle
 from jahangir.enumeration import jahangir_tree_edge_indices
@@ -331,6 +336,112 @@ def test_streamed_cycles_equals_one_piece_json(m, timestamp):
               "length_histogram": histogram, "records": records}
     assert code == 0
     assert mask_timestamp(out) == one_piece("cycles", {"m": m}, result, timestamp)
+
+
+# strings with every escape the json module writes: quotes, backslashes,
+# control characters, non-ASCII past the BMP and lone surrogates
+JSON_TEXT = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600')), max_size=8)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_TEXT, st.integers(), st.integers(min_value=2**64), st.integers(max_value=-2**64),
+              st.booleans(), st.none(), st.sampled_from([[], {}, ()])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+@example({"a": {"b": [[], {}, [[]], {"c": {}}]}, "": ()})
+def test_envelope_writer_equals_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+# every document holds at least one value the writer cannot match: a type
+# json.dumps writes differently or not at all, or a dict key that is not a str
+UNMATCHED = st.recursive(
+    st.one_of(st.floats(), st.builds(object), st.binary(), st.frozensets(st.integers()),
+              st.dictionaries(st.one_of(st.integers(), st.none(), st.booleans(), st.floats()),
+                              st.one_of(JSON_TEXT, st.integers()), min_size=1)),
+    lambda inner: st.one_of(st.lists(inner, min_size=1),
+                            st.dictionaries(JSON_TEXT, inner, min_size=1)),
+    max_leaves=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(UNMATCHED)
+@example(0.0)
+@example({"rows": [{"m": 3, "ratio": 0.0}]})
+@example({1: "one"})
+def test_envelope_writer_refuses_what_it_cannot_match(value):
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+@st.composite
+def unstreamed_query(draw):
+    """(argv, parameters, result) of count, coeffs, table --format json or
+    ratios, result None where the arguments are refused; n 1 and m 2 are."""
+    command = draw(st.sampled_from(["count", "coeffs", "table", "ratios"]))
+    n, m = draw(st.integers(1, 9)), draw(st.integers(2, 16))
+    try:
+        if command == "count":
+            method = draw(st.sampled_from(["combinatorial", "kirchhoff", "all"]))
+            if method == "all":  # a listing of every tree: small graphs only
+                n, m = min(n, 3), min(m, 5)
+            breakdown = draw(st.booleans())
+            argv = ["count", "--n", str(n), "--m", str(m), "--method", method]
+            argv += ["--breakdown"] if breakdown else []
+            parameters = {"n": n, "m": m, "method": method, "breakdown": breakdown}
+            counted = sigma(n, m)
+            total = str(counted.total if method == "combinatorial"
+                        else count_spanning_trees_det(build_jahangir(JahangirParams(n, m))))
+            result = {"n": n, "m": m, "method": method}
+            if method == "all":
+                result |= {"engines": dict.fromkeys(["combinatorial", "kirchhoff", "enumerate"],
+                                                    total), "agreement": True}
+            result["total"] = total
+            if breakdown:
+                result["per_k"] = [str(v) for v in counted.per_k]
+        elif command == "coeffs":
+            argv, parameters = ["coeffs", "--m", str(m)], {"m": m}
+            result = {"m": m, "coefficients": [str(c) for c in polynomial_coefficients(m)]}
+        elif command == "table":
+            argv = ["table", "--n", str(n), "--m-max", str(m), "--format", "json"]
+            parameters = {"n": n, "m_max": m, "format": "json"}
+            if m < 3:
+                raise ParameterDomainError("m_max must be >= 3")
+            result = {"n": n, "m_max": m, "rows": [{"m": k, "sigma": str(sigma(n, k).total)}
+                                                   for k in range(3, m + 1)]}
+        else:
+            precision, comma = draw(st.integers(0, 30)), draw(st.booleans())
+            argv = ["ratios", "--n", str(n), "--m-max", str(m), "--precision", str(precision)]
+            argv += ["--decimal-comma"] if comma else []
+            parameters = {"n": n, "m_max": m, "precision": precision, "decimal_comma": comma}
+            if m < 4:
+                raise ParameterDomainError("m_max must be >= 4")
+            entries = []
+            for k in range(3, m):
+                r = Fraction(sigma(n, k + 1).total, sigma(n, k).total)
+                decimal = decimal_round_half_even(r, precision)
+                entries.append({"m": k, "ratio": f"{r.numerator}/{r.denominator}",
+                                "decimal": decimal.replace(".", ",") if comma else decimal})
+            result = {"n": n, "m_max": m, "precision": precision, "entries": entries}
+    except ParameterDomainError:
+        result = None
+    return argv, parameters, result
+
+
+@settings(max_examples=150, deadline=None)
+@given(unstreamed_query(), st.booleans())
+def test_unstreamed_commands_equal_one_piece_json(query, timestamp):
+    argv, parameters, result = query
+    code, out = run_cli((["--timestamp"] if timestamp else []) + argv)
+    if result is None:
+        assert (code, out) == (2, "")
+        return
+    assert code == 0
+    assert mask_timestamp(out) == one_piece(argv[0], parameters, result, timestamp)
 
 
 DOT_VERTEX = re.compile(r"  v(\d+);")
