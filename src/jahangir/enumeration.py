@@ -4,9 +4,12 @@ Two independent producers of strictly ascending edge-index tuples:
 
 * tree_edge_indices walks any simple connected graph with include/exclude
   backtracking, in lexicographic order: the validation oracle.  One loop
-  over a union-find in three local lists: the test that the later edges
-  still span is their greedy completion, which, when it passes, is the
-  next tree.
+  over a union-find in local lists: the test that the later edges still
+  span is their greedy completion, which, when it passes, is the next tree.
+  Each component keeps the largest edge index that touches it, hi: leaving
+  out edge i when one side has hi == i cuts that side off, since every
+  earlier edge is decided, so that exclusion is skipped with no scan.  On
+  every J(n, m) measured no completion fails: each scan ends in a tree.
 
 * jahangir_tree_edge_indices builds each tree of J(n, m) directly: a
   nonempty spoke subset, less one rim edge (a hole) from each arc between
@@ -100,11 +103,21 @@ def _backtrack_trees(g: LabeledGraph) -> Iterator[tuple[int, ...]]:
     # That is also the test that the rest still spans: if it reaches |V| - 1
     # edges its unions are the next tree, else they are undone and the chosen
     # edge before i is left out in turn.  Union by size, no path compression:
-    # trail holds the root each union hung below another, so undo is exact.
+    # trail holds the root each union hung below another and the old hi of
+    # the root above, so undo is exact and leaves the left-out edge's two
+    # sides as roots.  A root's hi is the largest edge index incident to its
+    # component.  Every edge below i outside the chosen ones is left out
+    # already, so a side with hi == i can reach no other vertex: leaving i out
+    # must fail, and the search moves to the chosen edge before it without a
+    # scan.  The bound only ever skips a completion that would fail; wherever
+    # it does not fire, the completion is still the exact test, on any graph.
     edges, need = g.edges, g.vertex_count - 1
     parent = list(range(g.vertex_count))
     size = [1] * g.vertex_count
-    trail: list[int] = []
+    hi = [-1] * g.vertex_count
+    for j, (u, v) in enumerate(edges):
+        hi[u] = hi[v] = j
+    trail: list[tuple[int, int]] = []
     chosen: list[int] = []
     i = -1  # the first tree completes greedily from edge 0
     while True:
@@ -120,25 +133,29 @@ def _backtrack_trees(g: LabeledGraph) -> Iterator[tuple[int, ...]]:
                     u, v = v, u
                 parent[v] = u
                 size[u] += size[v]
-                trail.append(v)
+                trail.append((v, hi[u]))
+                if hi[v] > hi[u]:
+                    hi[u] = hi[v]
                 chosen.append(j)
                 have += 1
                 if have == need:
                     break
         if have == need:
             yield tuple(chosen)
-            keep = need - 1
-        else:
-            keep = base - 1
-        if keep < 0:
-            return
-        i = chosen[keep]
-        del chosen[keep:]
-        while len(trail) > keep:
-            v = trail.pop()
+            base = need
+        # undo the completion, then leave out the chosen edges before it, last
+        # first, until one leaves each of its two sides a later edge
+        while chosen:
+            i = chosen.pop()
+            v, h = trail.pop()
             u = parent[v]
             parent[v] = v
             size[u] -= size[v]
+            hi[u] = h
+            if len(chosen) < base and hi[u] != i != hi[v]:
+                break
+        else:
+            return
 
 
 def jahangir_tree_edge_indices(params: JahangirParams,

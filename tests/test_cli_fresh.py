@@ -27,7 +27,8 @@ def largest_child_mb():
 
 
 def check_count_all_and_listing_admission():
-    for n, m, total in ((3, 6, "12096"), (4, 5, "6724")):
+    # J(25, 3): a long rim, where the generic listing must be bound by its output
+    for n, m, total in ((3, 6, "12096"), (4, 5, "6724"), (25, 3, "19600")):
         run = cli("count", "--n", str(n), "--m", str(m), "--method", "all")
         result = json.loads(run.stdout)["result"]
         print(n, m, run.returncode, result)

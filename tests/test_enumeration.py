@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import islice
 
@@ -89,6 +90,17 @@ class TestEnumerateAll:
     def test_first_tree_of_a_deep_jahangir_graph(self):
         g = build_jahangir(JahangirParams(400, 3))
         assert verify_spanning_tree(g, next(enumerate_all(g)))
+
+    def test_long_rim_listing_is_bound_by_its_output(self):
+        # most left-out rim edges of J(200, 3) cut off a run of the rim that
+        # no later edge reaches; these 2000 trees took over 2 s when each
+        # such exclusion paid a scan of the later edges
+        g = build_jahangir(JahangirParams(200, 3))
+        start = time.perf_counter()
+        trees = list(enumerate_all(g, limit=2000))
+        assert time.perf_counter() - start < 1
+        assert len(trees) == 2000 and len(set(trees)) == 2000
+        assert all(verify_spanning_tree(g, t) for t in (trees[0], trees[-1]))
 
 
 class TestEnumerateJahangir:

@@ -85,6 +85,11 @@ class TestDeterminantCount:
 
 
 class TestEigenvalueEstimate:
+    @pytest.fixture(autouse=True)
+    def numpy(self):
+        # the estimate's one dependency, an optional extra
+        pytest.importorskip("numpy")
+
     def test_four_cycle(self, four_cycle):
         assert abs(eigenvalue_product_estimate(four_cycle) - 4.0) < 1e-9
 

@@ -7,13 +7,13 @@ binomial form of A_k.  The matrix tree theorem's cycle-minor path is
 checked against Bareiss elimination of the explicit minor, and its Bareiss
 fallback against the generic enumerator.  The generic enumerator is checked
 tree by tree against a filter over all (|V| - 1)-edge subsets, on larger
-graphs against the determinant, and the structured enumerator against the
-generic one and, far along long arcs, against its definition.  The CLI's
-envelope writer is checked against json.dumps(indent=2) over any document
-of the types it writes, and refuses every other type.  Every JSON command's
-output, streamed listings included, is checked byte for byte against
-json.dumps(indent=2) of the envelope built in one piece, and the DOT
-listing line by line against the trees it draws.
+graphs and long rims against the determinant, and the structured
+enumerator against the generic one and, far along long arcs, against its
+definition.  The CLI's envelope writer is checked against
+json.dumps(indent=2) over any document of the types it writes, and refuses
+every other type.  Every JSON command's output, streamed listings included,
+is checked byte for byte against json.dumps(indent=2) of the envelope built
+in one piece, and the DOT listing line by line against the trees it draws.
 """
 
 import json
@@ -50,7 +50,7 @@ from jahangir.asymptotics import decimal_round_half_even
 from jahangir.cli import _engine_versions, _json, main
 from jahangir.combinatorics import _coefficient, sigma_total
 from jahangir.cycles import _edge_set_is_simple_cycle
-from jahangir.enumeration import jahangir_tree_edge_indices
+from jahangir.enumeration import jahangir_tree_edge_indices, tree_edge_indices
 from jahangir.graph_core import rim_arc_edges, spoke_edge
 from jahangir.matrix_tree import _cycle_order, _det_fraction_free, _laplacian_minor
 
@@ -209,6 +209,23 @@ def test_structured_listing_equals_generic_listing(nm):
     structured = sorted(enumerate_jahangir(params), key=lambda t: t.edge_indices)
     assert structured == list(enumerate_all(build_jahangir(params)))
     assert len(structured) == sigma(*nm).total
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(st.tuples(st.integers(10, 25), st.just(3)),
+                 st.tuples(st.integers(3, 10), st.just(4))))
+def test_generic_listing_of_long_rims_counts_sigma(nm):
+    # up to sigma(10, 4) = 20160 trees on up to 76 vertices, where most
+    # left-out rim edges cut off a run of the rim that no later edge reaches
+    g = build_jahangir(JahangirParams(*nm))
+    trees = tree_edge_indices(g)
+    first = last = next(trees)
+    listed = 1
+    for listed, last in enumerate(trees, 2):
+        pass
+    assert listed == sigma_total(*nm) == count_spanning_trees_det(g)
+    assert verify_spanning_tree(g, SpanningTree(first))
+    assert verify_spanning_tree(g, SpanningTree(last))
 
 
 def lex_spoke_subsets(m, head=()):
