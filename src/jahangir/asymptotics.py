@@ -14,29 +14,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import sigma_table, sigma_total
-from .errors import require_at_least
+from .errors import require_int
 
 
 def decimal_truncate(x: Fraction, places: int) -> str:
     """Decimal string of x cut after `places` digits, no rounding."""
-    if places < 0:
-        raise ValueError("places must be nonnegative")
+    require_int(places, 0, "places")
     if x < 0:
         return "-" + decimal_truncate(-x, places)
-    scaled = x.numerator * 10**places // x.denominator
-    return _place_point(scaled, places)
+    return _place_point(x.numerator * 10**places // x.denominator, places)
 
 
 def decimal_round_half_even(x: Fraction, places: int) -> str:
     """Decimal string of x rounded to `places` digits, ties to even."""
-    if places < 0:
-        raise ValueError("places must be nonnegative")
+    require_int(places, 0, "places")
+    return _round_half_even(x, places)
+
+
+def _round_half_even(x: Fraction, places: int) -> str:
+    # decimal_round_half_even with places taken as checked: one test a series
     if x < 0:
-        return "-" + decimal_round_half_even(-x, places)
-    num = x.numerator * 10**places
-    den = x.denominator
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
+        return "-" + _round_half_even(-x, places)
+    q, r = divmod(x.numerator * 10**places, x.denominator)
+    if 2 * r > x.denominator or (2 * r == x.denominator and q % 2 == 1):
         q += 1
     return _place_point(q, places)
 
@@ -105,25 +105,25 @@ class ConjectureReport:
 
 def ratio(n: int, m: int) -> Fraction:
     """a(n, m) = sigma(n, m+1) / sigma(n, m), exact."""
-    require_at_least(n, 2, "n")
-    require_at_least(m, 3, "m")
-    return Fraction(sigma_total(n, m + 1), sigma_total(n, m))
+    before = sigma_total(n, m)  # refuses n, then m
+    return Fraction(sigma_total(n, m + 1), before)
 
 
 def ratio_series(n: int, m_max: int, places: int = 9) -> RatioSeries:
-    require_at_least(n, 2, "n")
-    require_at_least(m_max, 4, "m_max")
+    require_int(n, 2, "n")
+    require_int(m_max, 4, "m_max")
+    require_int(places, 0, "places")
     rows = sigma_table(n, m_max)
     entries = []
     for (m, before), (_, after) in zip(rows, rows[1:]):
         r = Fraction(after, before)
-        entries.append(RatioEntry(m, r, decimal_round_half_even(r, places)))
+        entries.append(RatioEntry(m, r, _round_half_even(r, places)))
     return RatioSeries(n, tuple(entries))
 
 
 def n_direction_ratios(m: int, n_max: int) -> NDirectionRatios:
-    require_at_least(m, 3, "m")
-    require_at_least(n_max, 3, "n_max")
+    require_int(m, 3, "m")
+    require_int(n_max, 3, "n_max")
     totals = [sigma_total(n, m) for n in range(2, n_max + 1)]
     entries = [(n, Fraction(cur, prev))
                for n, prev, cur in zip(range(3, n_max + 1), totals, totals[1:])]
@@ -137,8 +137,8 @@ def delta_estimate(n: int, m_used: int = 20, places: int = 12) -> DeltaEstimate:
     The bracket is ordered min..max of a(n, m_used - 1) and a(n, m_used);
     its width is reported, not assumed, to shrink as m_used grows.
     """
-    require_at_least(n, 2, "n")
-    require_at_least(m_used, 6, "m_used")
+    require_int(n, 2, "n")
+    require_int(m_used, 6, "m_used")
     point = ratio(n, m_used)
     lo, hi = sorted((ratio(n, m_used - 1), point))
     return DeltaEstimate(n, m_used, decimal_round_half_even(point, places), (lo, hi))
@@ -149,6 +149,7 @@ def conjecture_report(n: int, m: int, m_used: int = 20) -> ConjectureReport:
     the estimated m-direction ratio.  Exact rational arithmetic throughout;
     m = 3 is the degenerate exponent-zero case where both sides coincide.
     """
+    require_int(m_used, 3, "m_used")
     actual = sigma_total(n, m)  # refuses n, then m, before any work
     point = ratio(n, m_used)
     predicted = point ** (m - 3) * sigma_total(n, 3)

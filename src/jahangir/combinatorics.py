@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, prod
 
-from .errors import ParameterDomainError, require_at_least
+from .errors import ParameterDomainError, require_int
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class SpokeCombination:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        _check_k(self.m, self.k)
+        require_int(self.k, 1, "k", self.m)
         if len(self.indices) != self.k:
             raise ParameterDomainError("index count does not match k")
         if list(self.indices) != sorted(set(self.indices)):
@@ -81,11 +81,6 @@ class TreeCountBreakdown:
             raise ParameterDomainError("total does not equal the sum of per_k")
 
 
-def _check_k(m: int, k: int):
-    if not 1 <= k <= m:
-        raise ParameterDomainError(f"k must be in 1..m (got k={k}, m={m})")
-
-
 def _gaps(indices: tuple[int, ...], m: int) -> tuple[int, ...]:
     # raw gap vector in cyclic order, wrap gap last
     k = len(indices)
@@ -110,8 +105,8 @@ def class_census(m: int, k: int) -> list[tuple[GapSignature, int]]:
     The census streams through the combinations; nothing of size C(m, k)
     is ever materialized.
     """
-    require_at_least(m, 3, "m")
-    _check_k(m, k)
+    require_int(m, 3, "m")
+    require_int(k, 1, "k", m)
     counts: dict[tuple[int, ...], int] = {}
     for combo in combinations(range(1, m + 1), k):
         sig = tuple(sorted(_gaps(combo, m)))
@@ -121,7 +116,7 @@ def class_census(m: int, k: int) -> list[tuple[GapSignature, int]]:
 
 def class_contribution(n: int, sig: GapSignature) -> int:
     """Trees per combination in the class: n^k * prod(gap + 1)."""
-    require_at_least(n, 2, "n")
+    require_int(n, 2, "n")
     return n ** sig.k * prod(g + 1 for g in sig.gaps)
 
 
@@ -132,15 +127,15 @@ def _coefficient(m: int, k: int) -> int:
 
 def sigma_k(n: int, m: int, k: int) -> int:
     """Number of spanning trees of J(n, m) that keep exactly k spokes."""
-    require_at_least(n, 2, "n")
-    require_at_least(m, 3, "m")
-    _check_k(m, k)
+    require_int(n, 2, "n")
+    require_int(m, 3, "m")
+    require_int(k, 1, "k", m)
     return n ** k * _coefficient(m, k)
 
 
 def sigma(n: int, m: int) -> TreeCountBreakdown:
     """Spanning-tree count of J(n, m) with its per-k breakdown."""
-    require_at_least(n, 2, "n")
+    require_int(n, 2, "n")
     per_k = tuple(n ** k * a for k, a in enumerate(polynomial_coefficients(m), 1))
     return TreeCountBreakdown(n, m, per_k, sum(per_k))
 
@@ -151,7 +146,7 @@ def polynomial_coefficients(m: int) -> tuple[int, ...]:
     The leading coefficient is 1 and A_1 is m squared.  Built term by term,
     A_{k+1} = A_k * (m + k)(m - k) / (2(k + 1)(2k + 1)), the division exact.
     """
-    require_at_least(m, 3, "m")
+    require_int(m, 3, "m")
     coeffs = [m * m]
     for k in range(1, m):
         coeffs.append(coeffs[-1] * ((m + k) * (m - k)) // (2 * (k + 1) * (2 * k + 1)))
@@ -168,13 +163,13 @@ def _totals(n: int):
 
 def sigma_total(n: int, m: int) -> int:
     """sigma(n, m) alone, in O(1) memory: the (m - 3)-th value of the recurrence."""
-    require_at_least(n, 2, "n")
-    require_at_least(m, 3, "m")
+    require_int(n, 2, "n")
+    require_int(m, 3, "m")
     return next(islice(_totals(n), m - 3, None))
 
 
 def sigma_table(n: int, m_max: int) -> tuple[tuple[int, int], ...]:
     """Rows (m, sigma(n, m)) for m = 3..m_max, from one pass of the recurrence."""
-    require_at_least(n, 2, "n")
-    require_at_least(m_max, 3, "m_max")
+    require_int(n, 2, "n")
+    require_int(m_max, 3, "m_max")
     return tuple(zip(range(3, m_max + 1), _totals(n)))

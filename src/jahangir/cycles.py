@@ -173,10 +173,11 @@ def verify_census(m: int) -> CensusReport:
     k = m spans, and the claimed total m*m differs from the true count
     m*m - m + 1.
     """
+    params = JahangirParams(2, m)  # m refused before it meets the guard
     if m > VERIFY_GUARD:
         raise SizeGuardError(f"generic verification limited to m <= {VERIFY_GUARD} (got {m})")
-    records = census_j2m(m)
-    g = build_jahangir(JahangirParams(2, m))
+    records = list(_joined_runs(params))
+    g = build_jahangir(params)
     generic = find_simple_cycles(g)
 
     simple = [_edge_set_is_simple_cycle(g, r.edge_indices) for r in records]  # not the flag

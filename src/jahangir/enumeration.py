@@ -78,13 +78,7 @@ def verify_spanning_tree(g: LabeledGraph, tree: SpanningTree) -> bool:
 def tree_edge_indices(g: LabeledGraph,
                       limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """The edge-index tuples of enumerate_all(g, limit), with no tree objects."""
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
-    if not is_connected(g):
-        warnings.warn("graph is disconnected; no spanning trees exist", RuntimeWarning,
-                      stacklevel=3)  # the caller of enumerate_all
-        return iter(())
-    return islice(_backtrack_trees(g), limit)
+    return _limited(_backtrack_trees(g), limit, g)
 
 
 def enumerate_all(g: LabeledGraph, limit: Optional[int] = None) -> Iterator[SpanningTree]:
@@ -93,7 +87,18 @@ def enumerate_all(g: LabeledGraph, limit: Optional[int] = None) -> Iterator[Span
     A disconnected graph produces an empty stream after a RuntimeWarning.
     limit stops the stream early.
     """
-    return map(_tree, tree_edge_indices(g, limit))
+    return map(_tree, _limited(_backtrack_trees(g), limit, g))
+
+
+def _limited(trees, limit: Optional[int], g: Optional[LabeledGraph] = None):
+    # limit's one test; a disconnected g warns, at the public function's caller
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
+    if g is not None and not is_connected(g):
+        warnings.warn("graph is disconnected; no spanning trees exist", RuntimeWarning,
+                      stacklevel=3)
+        return iter(())
+    return islice(trees, limit)
 
 
 def _backtrack_trees(g: LabeledGraph) -> Iterator[tuple[int, ...]]:
@@ -161,9 +166,7 @@ def _backtrack_trees(g: LabeledGraph) -> Iterator[tuple[int, ...]]:
 def jahangir_tree_edge_indices(params: JahangirParams,
                                limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """The edge-index tuples of enumerate_jahangir(params, limit), with no tree objects."""
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
-    return islice(_structured_trees(params), limit)
+    return _limited(_structured_trees(params), limit)
 
 
 def enumerate_jahangir(params: JahangirParams,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one parameter check."""
+"""Exception types shared across the package, and require_int: every integer
+argument passes or fails there, save `limit` (enumeration._limited tests it)."""
 
 
 class ParameterDomainError(ValueError):
@@ -17,7 +18,11 @@ class EnumerationCapError(RuntimeError):
     """An enumeration would produce more trees than the configured cap."""
 
 
-def require_at_least(value: int, lo: int, name: str):
-    """The package's one lower-bound check on a numeric parameter."""
+def require_int(value, lo: int, name: str, hi: int | None = None):
+    """Refuse value unless it is an int, not a bool, in lo..hi (hi None: no cap)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterDomainError(f"{name} must be an int (got {type(value).__name__})")
+    if hi is not None and not lo <= value <= hi:
+        raise ParameterDomainError(f"{name} {value} out of range {lo}..{hi}")
     if value < lo:
         raise ParameterDomainError(f"{name} must be >= {lo} (got {value})")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphValidationError, ParameterDomainError, require_at_least
+from .errors import GraphValidationError, require_int
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,8 @@ class JahangirParams:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
-            raise ParameterDomainError("n and m must be integers")
-        require_at_least(self.n, 2, "n")
-        require_at_least(self.m, 3, "m")
+        require_int(self.n, 2, "n")
+        require_int(self.m, 3, "m")
 
     @property
     def vertex_count(self) -> int:
@@ -49,8 +47,7 @@ class LabeledGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.vertex_count < 1:
-            raise GraphValidationError("vertex_count must be >= 1")
+        require_int(self.vertex_count, 1, "vertex_count")
         normalized = []
         seen = set()
         for e in self.edges:
@@ -92,9 +89,8 @@ class IntegerMatrix:
     def __post_init__(self):
         if len(self.entries) != self.rows:
             raise ValueError("entry grid does not match declared row count")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("entry grid does not match declared column count")
+        if any(len(row) != self.cols for row in self.entries):
+            raise ValueError("entry grid does not match declared column count")
 
     def transpose(self) -> "IntegerMatrix":
         flipped = tuple(zip(*self.entries)) if self.entries else ()

@@ -15,7 +15,7 @@ floating-point cross-check on small graphs.
 
 from __future__ import annotations
 
-from .errors import GraphValidationError, SizeGuardError
+from .errors import GraphValidationError, SizeGuardError, require_int
 from .graph_core import LabeledGraph, is_connected, laplacian_matrix
 
 EIGEN_GUARD = 64  # dense eigensolve allowed up to this many vertices
@@ -110,8 +110,7 @@ def count_spanning_trees_det(g: LabeledGraph, deleted_vertex: int = 0) -> int:
     above BAREISS_GUARD vertices are refused with SizeGuardError.
     """
     nv = g.vertex_count
-    if not (0 <= deleted_vertex < nv):
-        raise ValueError(f"deleted_vertex {deleted_vertex} out of range")
+    require_int(deleted_vertex, 0, "deleted_vertex", nv - 1)
     if nv == 1:
         return 1
     order = _cycle_order(g, deleted_vertex)

@@ -31,6 +31,7 @@ class TestDecimalRendering:
         assert decimal_round_half_even(Fraction(35, 1000), 2) == "0.04"
         assert decimal_round_half_even(Fraction(1, 2), 0) == "0"
         assert decimal_round_half_even(Fraction(3, 2), 0) == "2"
+        assert decimal_round_half_even(Fraction(-35, 1000), 2) == "-0.04"
 
     def test_rendering_error_bounds(self):
         x = Fraction(701260563, 146361600)

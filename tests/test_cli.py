@@ -285,14 +285,14 @@ class TestEnumerate:
     def test_dot_stream_survives_closed_pipe(self):
         # a consumer that stops reading early (head, a pager) must not
         # provoke a BrokenPipeError traceback
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "jahangir.cli",
-             "enumerate", "--n", "2", "--m", "5", "--format", "dot"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        proc.stdout.read(64)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait() == 0
+        with subprocess.Popen(
+                [sys.executable, "-m", "jahangir.cli",
+                 "enumerate", "--n", "2", "--m", "5", "--format", "dot"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.read(64)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 0
         assert err == b""
 
 

@@ -80,6 +80,9 @@ class TestCensusRecords:
         with pytest.raises(ParameterDomainError):
             census_j2m(2)
 
+    def test_empty_edge_set_is_not_a_cycle(self):
+        assert not _edge_set_is_simple_cycle(build_jahangir(JahangirParams(2, 3)), ())
+
 
 class TestGenericCycleFinder:
     def test_triangle(self, triangle):

@@ -1,3 +1,4 @@
+import inspect
 import time
 import tracemalloc
 from itertools import islice
@@ -16,7 +17,7 @@ from jahangir import (
     verify_spanning_tree,
 )
 from jahangir.cli import main
-from jahangir.enumeration import _structured_trees
+from jahangir.enumeration import _structured_trees, tree_edge_indices
 
 
 class TestEnumerateAll:
@@ -70,6 +71,13 @@ class TestEnumerateAll:
         with pytest.warns(RuntimeWarning, match="disconnected"):
             trees = list(enumerate_all(disconnected))
         assert trees == []
+
+    @pytest.mark.parametrize("listing", [enumerate_all, tree_edge_indices])
+    def test_disconnected_warning_names_the_calling_line(self, disconnected, listing):
+        with pytest.warns(RuntimeWarning, match="disconnected") as record:
+            line = inspect.currentframe().f_lineno + 1
+            listing(disconnected)
+        assert (record[0].filename, record[0].lineno) == (__file__, line)
 
     def test_cap_respects_limit(self):
         g = build_jahangir(JahangirParams(2, 13))

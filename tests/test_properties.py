@@ -22,7 +22,8 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -174,6 +175,32 @@ def test_bareiss_fallback_equals_enumeration(case):
         warnings.simplefilter("ignore", RuntimeWarning)  # disconnected: no trees
         listed = sum(1 for _ in enumerate_all(g))
     assert count_spanning_trees_det(g, deleted_vertex=apex) == listed
+
+
+def leibniz_det(a):
+    """The determinant as its defining sum over permutations: the reference."""
+    n = len(a)
+    return sum((-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+               * prod(a[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
+@st.composite
+def small_square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if draw(st.booleans()):
+        a[0][0] = 0  # the first pivot is found by a row swap, or there is none
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_square_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 2, 1], [0, 1, 3], [5, 0, 2]])
+@example([[1, 1, 0], [1, 1, 2], [0, 3, 1]])  # a zero pivot after the first step
+def test_bareiss_equals_the_permutation_sum(a):
+    assert _det_fraction_free([row[:] for row in a]) == leibniz_det(a)
 
 
 @settings(max_examples=150, deadline=None)
