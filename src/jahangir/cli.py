@@ -12,10 +12,10 @@ the records of `cycles` are written in chunks as they are produced, inside
 an envelope rendered once, byte-identical to the whole.  `enumerate
 --format dot` draws each tree with one DOT renderer built once per graph.
 
-The tree cap lives here, not in the enumerators, which are lazy: _planned
-sizes a listing of J(n, m) from its parameters alone, and `enumerate` and
-`count --method enumerate|all` are refused by it before any graph is built
-or any output written.
+The tree cap and --limit live here, not in the lazy enumerators: _planned
+checks the limit and sizes a listing of J(n, m) from its parameters alone,
+and `enumerate` and `count --method enumerate|all` are refused by it before
+any graph is built or any output written; islice then cuts the listing.
 
 Exit codes: 0 success, 2 parameter or validation problem, 3 enumeration cap
 exceeded, 4 counting engines disagree under --method all, or a listing's
@@ -37,7 +37,7 @@ from .asymptotics import ratio_series
 from .combinatorics import polynomial_coefficients, sigma, sigma_table, sigma_total
 from .cycles import census_records
 from .enumeration import jahangir_tree_edge_indices, tree_edge_indices
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, require_int
 from .graph_core import JahangirParams, build_jahangir, dot_renderer, to_dot
 from .matrix_tree import count_spanning_trees_det
 
@@ -147,12 +147,15 @@ TREE_CAP = 10_000_000
 def _planned(n: int, m: int, limit, allow_huge: bool) -> int:
     """The number of trees a listing of J(n, m) yields, min(limit, sigma).
 
-    Refused (EnumerationCapError) above TREE_CAP unless allow_huge.  J(n, m)
-    has n * m^2 trees that keep a single spoke, so sigma exceeds that: a
-    limit within it is the answer with no count taken, and with no smaller
-    limit an n * m^2 above the cap refuses the listing with no count taken.
+    Refused: a negative limit (ParameterDomainError), then, unless allow_huge,
+    a listing above TREE_CAP (EnumerationCapError).  J(n, m) has n * m^2
+    trees that keep a single spoke, so sigma exceeds that: a limit within it
+    is the answer with no count taken, and with no smaller limit an n * m^2
+    above the cap refuses the listing with no count taken.
     """
     one_spoke, more = n * m * m, ""
+    if limit is not None:
+        require_int(limit, 0, "limit")
     if limit is not None and limit <= one_spoke:
         planned = limit
     elif one_spoke > TREE_CAP and not allow_huge:
@@ -209,8 +212,8 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     params = JahangirParams(args.n, args.m)
-    trees = jahangir_tree_edge_indices(params, args.limit)  # refuses a negative limit
     count = _planned(args.n, args.m, args.limit, args.allow_huge)
+    trees = islice(jahangir_tree_edge_indices(params), args.limit)
     if args.format == "dot":
         draw = dot_renderer(build_jahangir(params))
         for i, t in enumerate(trees):
@@ -228,7 +231,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_cycles(args) -> int:
     m = args.m
-    records = census_records(m)  # m is refused here, before any output
+    records = census_records(JahangirParams(2, m))  # m is refused here, before any output
     # the closed forms proved in the cycles module: m runs for each k = 1..m,
     # of length 2(k + 1), simple exactly when k < m
     result = {"m": m, "record_count": m * m, "simple_cycle_count": m * m - m,

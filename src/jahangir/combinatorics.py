@@ -40,6 +40,7 @@ class SpokeCombination:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        require_int(self.m, 3, "m")
         require_int(self.k, 1, "k", self.m)
         if len(self.indices) != self.k:
             raise ParameterDomainError("index count does not match k")
@@ -57,10 +58,13 @@ class GapSignature:
     gaps: tuple[int, ...]
 
     def __post_init__(self):
+        require_int(self.k, 1, "k")
         if len(self.gaps) != self.k:
             raise ParameterDomainError("gap count does not match k")
-        if any(g < 0 for g in self.gaps):
+        if any(isinstance(g, int) and g < 0 for g in self.gaps):
             raise ParameterDomainError("gaps must be nonnegative")
+        for g in self.gaps:
+            require_int(g, 0, "gap")
         if list(self.gaps) != sorted(self.gaps):
             raise ParameterDomainError("gaps must be sorted ascending")
 
@@ -75,6 +79,8 @@ class TreeCountBreakdown:
     total: int
 
     def __post_init__(self):
+        require_int(self.n, 2, "n")
+        require_int(self.m, 3, "m")
         if len(self.per_k) != self.m:
             raise ParameterDomainError("per_k must have one entry per k = 1..m")
         if self.total != sum(self.per_k):

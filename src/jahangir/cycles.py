@@ -11,9 +11,9 @@ The k = m case degenerates: the two boundary spokes coincide, so the edge
 set is the whole rim plus a single spoke (2m + 1 edges, hub degree 1), not
 a cycle.  The rim cycle itself, length 2m, never arises from the joining
 construction.  The graph's true simple-cycle count is therefore
-m*m - m + 1; census_j2m keeps all m*m records and marks the degenerate
-ones, and verify_census reconciles the census against an independent
-generic enumerator instead of hiding the mismatch.
+m*m - m + 1.  census_records, a generator over validated JahangirParams,
+yields all m*m records, marking the degenerate ones; census_j2m lists them,
+and verify_census reconciles them with an independent generic enumerator.
 """
 
 from __future__ import annotations
@@ -95,13 +95,9 @@ def _edge_set_is_simple_cycle(g: LabeledGraph, edge_indices: tuple[int, ...]) ->
     return len(seen) == len(adj) and len(edge_indices) == len(adj)
 
 
-def census_records(m: int) -> Iterator[CycleRecord]:
-    """The census_j2m(m) records one at a time, m checked before the first.
+def census_records(params: JahangirParams) -> Iterator[CycleRecord]:
+    """The census_j2m(params.m) records one at a time, for params = J(2, m).
     is_simple_cycle is the proven k < m: no graph is built, no record checked."""
-    return _joined_runs(JahangirParams(2, m))
-
-
-def _joined_runs(params: JahangirParams) -> Iterator[CycleRecord]:
     m = params.m
     around = tuple(range(1, m + 1)) * 2  # a run of k inner cycles is a slice
     for k in range(1, m + 1):
@@ -119,7 +115,7 @@ def census_j2m(m: int) -> list[CycleRecord]:
     record is a simple cycle of length 2(k + 1); the m records at k = m are
     degenerate (rim plus one spoke) and carry is_simple_cycle False.
     """
-    return list(census_records(m))
+    return list(census_records(JahangirParams(2, m)))
 
 
 def find_simple_cycles(g: LabeledGraph) -> set[frozenset[int]]:
@@ -176,7 +172,7 @@ def verify_census(m: int) -> CensusReport:
     params = JahangirParams(2, m)  # m refused before it meets the guard
     if m > VERIFY_GUARD:
         raise SizeGuardError(f"generic verification limited to m <= {VERIFY_GUARD} (got {m})")
-    records = list(_joined_runs(params))
+    records = list(census_records(params))
     g = build_jahangir(params)
     generic = find_simple_cycles(g)
 

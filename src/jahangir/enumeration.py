@@ -10,6 +10,7 @@ Two independent producers of strictly ascending edge-index tuples:
   out edge i when one side has hi == i cuts that side off, since every
   earlier edge is decided, so that exclusion is skipped with no scan.  On
   every J(n, m) measured no completion fails: each scan ends in a tree.
+  On a disconnected graph the first completion fails and nothing is yielded.
 
 * jahangir_tree_edge_indices builds each tree of J(n, m) directly: a
   nonempty spoke subset, less one rim edge (a hole) from each arc between
@@ -17,18 +18,18 @@ Two independent producers of strictly ascending edge-index tuples:
   holds (g + 1) * n rim edges: the counting formula's product.  Each tree
   is spliced from runs of the rim, with no set and no sort.
 
-enumerate_all and enumerate_jahangir, the public face, wrap each tuple in a
-SpanningTree; the CLI draws the tuples.  All are lazy and apply limit by
-slicing the stream.  None counts the trees it is about to list; the CLI,
-which drains them, caps a listing up front.
+Both are generators over validated input.  enumerate_all and
+enumerate_jahangir wrap each tuple in a SpanningTree; the CLI draws the
+tuples, sliced with islice.  None counts the trees it is about to list; the
+CLI, which drains them, caps a listing up front.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Iterator, Optional
+from itertools import product
+from typing import Iterator
 
 from .graph_core import JahangirParams, LabeledGraph, is_connected, spoke_edge
 
@@ -75,33 +76,19 @@ def verify_spanning_tree(g: LabeledGraph, tree: SpanningTree) -> bool:
     return True
 
 
-def tree_edge_indices(g: LabeledGraph,
-                      limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """The edge-index tuples of enumerate_all(g, limit), with no tree objects."""
-    return _limited(_backtrack_trees(g), limit, g)
-
-
-def enumerate_all(g: LabeledGraph, limit: Optional[int] = None) -> Iterator[SpanningTree]:
+def enumerate_all(g: LabeledGraph) -> Iterator[SpanningTree]:
     """Every spanning tree of g exactly once, lexicographic on edge indices.
 
     A disconnected graph produces an empty stream after a RuntimeWarning.
-    limit stops the stream early.
     """
-    return map(_tree, _limited(_backtrack_trees(g), limit, g))
-
-
-def _limited(trees, limit: Optional[int], g: Optional[LabeledGraph] = None):
-    # limit's one test; a disconnected g warns, at the public function's caller
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
-    if g is not None and not is_connected(g):
+    if not is_connected(g):
         warnings.warn("graph is disconnected; no spanning trees exist", RuntimeWarning,
-                      stacklevel=3)
-        return iter(())
-    return islice(trees, limit)
+                      stacklevel=2)
+    return map(_tree, tree_edge_indices(g))
 
 
-def _backtrack_trees(g: LabeledGraph) -> Iterator[tuple[int, ...]]:
+def tree_edge_indices(g: LabeledGraph) -> Iterator[tuple[int, ...]]:
+    """The edge-index tuples of enumerate_all(g), with no tree objects and no warning."""
     # Include/exclude search, include first: trees come out in lexicographic
     # order.  After a tree ending in edge i, i is left out and edges[i + 1:]
     # complete the rest greedily, taking each edge that joins two components.
@@ -163,24 +150,18 @@ def _backtrack_trees(g: LabeledGraph) -> Iterator[tuple[int, ...]]:
             return
 
 
-def jahangir_tree_edge_indices(params: JahangirParams,
-                               limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """The edge-index tuples of enumerate_jahangir(params, limit), with no tree objects."""
-    return _limited(_structured_trees(params), limit)
-
-
-def enumerate_jahangir(params: JahangirParams,
-                       limit: Optional[int] = None) -> Iterator[SpanningTree]:
+def enumerate_jahangir(params: JahangirParams) -> Iterator[SpanningTree]:
     """Every spanning tree of J(n, m), built structurally.
 
     Spoke subsets stream in lexicographic order; within a subset, one rim
     edge is deleted per arc, candidates in ascending rim-index order.  The
     yielded set of trees equals enumerate_all on the same graph.
     """
-    return map(_tree, jahangir_tree_edge_indices(params, limit))
+    return map(_tree, jahangir_tree_edge_indices(params))
 
 
-def _structured_trees(params: JahangirParams) -> Iterator[tuple[int, ...]]:
+def jahangir_tree_edge_indices(params: JahangirParams) -> Iterator[tuple[int, ...]]:
+    """The edge-index tuples of enumerate_jahangir(params), with no tree objects."""
     # Holes run in the order of product(*arcs), the wrap arc fastest; each
     # tree is spliced from runs of one row, the rim then the kept spokes.
     n, m, nm = params.n, params.m, params.n * params.m

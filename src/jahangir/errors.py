@@ -1,5 +1,5 @@
 """Exception types shared across the package, and require_int: every integer
-argument passes or fails there, save `limit` (enumeration._limited tests it)."""
+argument passes or fails there."""
 
 
 class ParameterDomainError(ValueError):

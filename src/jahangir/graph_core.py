@@ -223,6 +223,9 @@ def to_dot(g: LabeledGraph, highlight_edges=None, name: str = "g") -> str:
     """DOT rendering: vertices v0..v_{k}, one statement per edge in canonical
     order.  When highlight_edges (a set of edge indices of g) is given, edges
     outside the set are drawn dashed; used to display a spanning tree inside
-    its host graph.
+    its host graph.  An index outside 0..|E| - 1 raises IndexError.
     """
+    for i in highlight_edges or ():
+        if not 0 <= i < len(g.edges):
+            raise IndexError(f"edge index {i} out of range 0..{len(g.edges) - 1}")
     return dot_renderer(g)(highlight_edges, name)

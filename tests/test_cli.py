@@ -352,12 +352,20 @@ def test_admission_memory_flat_in_m():
 
 def test_refusal_order(capsys):
     # parameters first, then a negative limit, then the cap
-    for argv, code, reason in [(["--n", "1", "--m", "16", "--limit", "-1"], 2, "n must be >= 2"),
-                               (["--n", "3", "--m", "16", "--limit", "-1"], 2, "nonnegative"),
-                               (["--n", "3", "--m", "16", "--limit", "10000001"], 3, "10000001")]:
+    for argv, code, reason in [
+            (["--n", "1", "--m", "16", "--limit", "-1"], 2, "n must be >= 2"),
+            (["--n", "3", "--m", "16", "--limit", "-1"], 2, "limit must be >= 0"),
+            (["--n", "3", "--m", "16", "--limit", "10000001"], 3, "10000001")]:
         assert main(["enumerate", *argv]) == code
         captured = capsys.readouterr()
         assert captured.out == "" and reason in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_negative_limit_refused_in_one_line(capsys, fmt):
+    assert main(["enumerate", "--n", "2", "--m", "3", "--limit", "-1", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: limit must be >= 0 (got -1)\n")
 
 
 def test_allow_huge_lifts_the_cap(capsys, monkeypatch):

@@ -1,18 +1,22 @@
 """The CLI run in fresh interpreters: `count --method all`, the listing
-admission and its refusals, and two streamed listings in bounded memory.
+admission and its refusals, two streamed listings in bounded memory, and a
+CLI that never imports numpy.
 
 Each check runs in a fresh interpreter of its own (this file run as a
 script, with the check's name as its argument), which starts the CLI
-children and reads their peak RSS from RUSAGE_CHILDREN.  A child's peak
+children and reads their peak RSS from RUSAGE_CHILDREN, or runs the CLI
+in-process and reads sys.modules.  A child's peak
 includes the memory of the process that started it, so children started
 from the test session itself would carry its heap into the 64 MB bounds.
 """
 
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -76,6 +80,18 @@ def check_streamed_listings_in_bounded_memory():
     assert rss_mb < 64
 
 
+def check_cli_imports_no_numpy():
+    # numpy is for the float cross-check only; the CLI's startup stays Python's own
+    import jahangir
+    from jahangir.cli import main
+
+    with redirect_stdout(io.StringIO()):
+        assert main(["count", "--n", "2", "--m", "4"]) == 0
+        assert main(["enumerate", "--n", "2", "--m", "3", "--limit", "2"]) == 0
+    print(jahangir.__file__, sorted(name for name in sys.modules if "numpy" in name))
+    assert "numpy" not in sys.modules
+
+
 def in_fresh_interpreter(check):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, os.path.abspath(__file__), check.__name__],
@@ -90,6 +106,10 @@ def test_count_all_and_listing_admission():
 
 def test_streamed_listings_in_bounded_memory():
     in_fresh_interpreter(check_streamed_listings_in_bounded_memory)
+
+
+def test_cli_imports_no_numpy():
+    in_fresh_interpreter(check_cli_imports_no_numpy)
 
 
 if __name__ == "__main__":

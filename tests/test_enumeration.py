@@ -1,6 +1,7 @@
 import inspect
 import time
 import tracemalloc
+import warnings
 from itertools import islice
 
 import pytest
@@ -17,7 +18,7 @@ from jahangir import (
     verify_spanning_tree,
 )
 from jahangir.cli import main
-from jahangir.enumeration import _structured_trees, tree_edge_indices
+from jahangir.enumeration import jahangir_tree_edge_indices, tree_edge_indices
 
 
 class TestEnumerateAll:
@@ -57,31 +58,34 @@ class TestEnumerateAll:
 
     def test_limit_is_a_prefix(self, k4):
         full = [t.edge_indices for t in enumerate_all(k4)]
-        head = [t.edge_indices for t in enumerate_all(k4, limit=5)]
+        head = [t.edge_indices for t in islice(enumerate_all(k4), 5)]
         assert head == full[:5]
 
     def test_limit_zero(self, k4):
-        assert list(enumerate_all(k4, limit=0)) == []
-
-    def test_negative_limit_rejected(self, k4):
-        with pytest.raises(ValueError):
-            enumerate_all(k4, limit=-1)
+        assert list(islice(enumerate_all(k4), 0)) == []
 
     def test_disconnected_warns_and_is_empty(self, disconnected):
         with pytest.warns(RuntimeWarning, match="disconnected"):
             trees = list(enumerate_all(disconnected))
         assert trees == []
 
-    @pytest.mark.parametrize("listing", [enumerate_all, tree_edge_indices])
-    def test_disconnected_warning_names_the_calling_line(self, disconnected, listing):
+    def test_disconnected_warning_names_the_calling_line(self, disconnected):
         with pytest.warns(RuntimeWarning, match="disconnected") as record:
             line = inspect.currentframe().f_lineno + 1
-            listing(disconnected)
+            enumerate_all(disconnected)
         assert (record[0].filename, record[0].lineno) == (__file__, line)
+
+    def test_disconnected_edge_indices_are_empty_and_silent(self):
+        # two separate edges, three isolated vertices, a triangle and two isolated vertices
+        for g in (LabeledGraph(4, ((0, 1), (2, 3))), LabeledGraph(3, ()),
+                  LabeledGraph(5, ((0, 1), (0, 2), (1, 2)))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert list(tree_edge_indices(g)) == []
 
     def test_cap_respects_limit(self):
         g = build_jahangir(JahangirParams(2, 13))
-        trees = list(enumerate_all(g, limit=3))
+        trees = list(islice(enumerate_all(g), 3))
         assert len(trees) == 3
 
     def test_cap_disabled(self, k4):
@@ -105,7 +109,7 @@ class TestEnumerateAll:
         # such exclusion paid a scan of the later edges
         g = build_jahangir(JahangirParams(200, 3))
         start = time.perf_counter()
-        trees = list(enumerate_all(g, limit=2000))
+        trees = list(islice(enumerate_all(g), 2000))
         assert time.perf_counter() - start < 1
         assert len(trees) == 2000 and len(set(trees)) == 2000
         assert all(verify_spanning_tree(g, t) for t in (trees[0], trees[-1]))
@@ -180,8 +184,8 @@ class TestEnumerateJahangir:
 
     def test_limit(self):
         params = JahangirParams(2, 4)
-        assert len(list(enumerate_jahangir(params, limit=7))) == 7
-        assert list(enumerate_jahangir(params, limit=0)) == []
+        assert len(list(islice(enumerate_jahangir(params), 7))) == 7
+        assert list(islice(enumerate_jahangir(params), 0)) == []
 
     def test_memory_flat_in_arc_length(self):
         # 2 * nm + 2 trees reach the whole-rim subset (1,) and the long wrap
@@ -189,7 +193,7 @@ class TestEnumerateJahangir:
         params = JahangirParams(2, 1000)
         tracemalloc.start()
         try:
-            for _ in islice(_structured_trees(params), 2 * 2000 + 2):
+            for _ in islice(jahangir_tree_edge_indices(params), 2 * 2000 + 2):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -197,7 +201,7 @@ class TestEnumerateJahangir:
         assert peak < 2 * 2**20
 
     def test_cap_with_limit_allows_peek(self):
-        trees = list(enumerate_jahangir(JahangirParams(3, 16), limit=4))
+        trees = list(islice(enumerate_jahangir(JahangirParams(3, 16)), 4))
         assert len(trees) == 4
 
 

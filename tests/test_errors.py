@@ -40,7 +40,7 @@ from jahangir import (
     verify_census,
 )
 from jahangir.asymptotics import RatioEntry
-from jahangir.combinatorics import sigma_total
+from jahangir.combinatorics import gap_transform, sigma_total
 from jahangir.cycles import census_records
 
 try:
@@ -80,7 +80,7 @@ CALLS = [
                       "186.7037", "0.027585")),
     (decimal_truncate, dict(x=Fraction(-7, 3), places=2), "-2.33"),
     (decimal_round_half_even, dict(x=Fraction(-7, 3), places=2), "-2.33"),
-    (census_records, dict(m=3), CENSUS_3),
+    (census_records, dict(params=JahangirParams(2, 3)), CENSUS_3),
     (census_j2m, dict(m=3), CENSUS_3),
     (verify_census, dict(m=3),
      CensusReport(3, 9, 6, 7, False, True, ((0, 1, 2, 3, 4, 5),),
@@ -162,4 +162,17 @@ def test_bounds_are_refused_with_the_bound(call_with, message):
         "per-k-length", "total", "rows", "cols", "matmul"])
 def test_structural_invariants_refuse(build, message):
     with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: gap_transform(SpokeCombination(5.0, 2, (1, 2))), "m must be an int (got float)"),
+    (lambda: SpokeCombination("5", 2, (1, 2)), "m must be an int (got str)"),
+    (lambda: GapSignature(True, (0,)), "k must be an int (got bool)"),
+    (lambda: GapSignature(2, (0.5, 1.5)), "gap must be an int (got float)"),
+    (lambda: TreeCountBreakdown(2.0, 3, (1, 2, 3), 6), "n must be an int (got float)"),
+], ids=["spoke-m-float", "spoke-m-str", "gap-k-bool", "gap-float", "breakdown-n-float"])
+def test_derivation_fields_follow_the_int_rule(build, message):
+    # a float m once gave a float gap, and a str m a bare TypeError
+    with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
         build()

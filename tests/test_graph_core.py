@@ -207,3 +207,12 @@ class TestConnectivityAndDot:
         dot = to_dot(four_cycle, highlight_edges={0, 1, 2})
         assert dot.count("style=dashed") == 1
         assert "v0 -- v3 [style=dashed];" in dot
+
+    def test_dot_refuses_a_highlight_outside_the_edges(self):
+        g = build_jahangir(JahangirParams(2, 3))  # edges 0..8; -1 once drew the last spoke
+        for i in (-1, 9, 99):
+            with pytest.raises(IndexError, match=rf"^edge index {i} out of range 0\.\.8$"):
+                to_dot(g, [i], "t")
+        dot = to_dot(g, [0, 8], "t")
+        assert dot.count("style=dashed") == 7
+        assert "v1 -- v2;" in dot and "v0 -- v5;" in dot

@@ -209,7 +209,7 @@ def test_enumerate_all_equals_filtered_combinations(g, k):
     subsets = map(SpanningTree, combinations(range(g.edge_count), g.vertex_count - 1))
     expected = [t for t in subsets if verify_spanning_tree(g, t)]
     assert list(enumerate_all(g)) == expected
-    assert list(enumerate_all(g, limit=k)) == expected[:k]
+    assert list(islice(enumerate_all(g), k)) == expected[:k]
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,7 +332,8 @@ def test_streamed_enumerate_equals_one_piece_json(query):
     argv = (["--timestamp"] if timestamp else []) + argv
     code, out = run_cli(argv + ([] if limit is None else ["--limit", str(limit)]))
     try:
-        trees = [list(t.edge_indices) for t in enumerate_jahangir(JahangirParams(n, m), limit)]
+        trees = [list(t.edge_indices)
+                 for t in islice(enumerate_jahangir(JahangirParams(n, m)), limit)]
     except ParameterDomainError:
         assert (code, out) == (2, "")
         return
@@ -499,7 +500,7 @@ def test_dot_listing_draws_each_tree_in_its_host(n, m, limit):
     code, out = run_cli(argv)
     params = JahangirParams(n, m)
     g = build_jahangir(params)
-    trees = list(enumerate_jahangir(params, limit))
+    trees = list(islice(enumerate_jahangir(params), limit))
     assert code == 0
     # one drawing per tree, each ending in a newline, one blank line between
     assert out.endswith("}\n") if trees else out == ""
