@@ -44,10 +44,12 @@ class SpokeCombination:
         require_int(self.k, 1, "k", self.m)
         if len(self.indices) != self.k:
             raise ParameterDomainError("index count does not match k")
+        if any(isinstance(i, int) and not 1 <= i <= self.m for i in self.indices):
+            raise ParameterDomainError("indices must lie in 1..m")
+        for i in self.indices:
+            require_int(i, 1, "index")
         if list(self.indices) != sorted(set(self.indices)):
             raise ParameterDomainError("indices must be strictly increasing")
-        if self.indices[0] < 1 or self.indices[-1] > self.m:
-            raise ParameterDomainError("indices must lie in 1..m")
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,9 @@ class TreeCountBreakdown:
         require_int(self.m, 3, "m")
         if len(self.per_k) != self.m:
             raise ParameterDomainError("per_k must have one entry per k = 1..m")
+        for count in self.per_k:
+            require_int(count, 0, "per_k entry")
+        require_int(self.total, 0, "total")
         if self.total != sum(self.per_k):
             raise ParameterDomainError("total does not equal the sum of per_k")
 

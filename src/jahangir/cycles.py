@@ -13,7 +13,8 @@ a cycle.  The rim cycle itself, length 2m, never arises from the joining
 construction.  The graph's true simple-cycle count is therefore
 m*m - m + 1.  census_records, a generator over validated JahangirParams,
 yields all m*m records, marking the degenerate ones; census_j2m lists them,
-and verify_census reconciles them with an independent generic enumerator.
+and verify_census reconciles them with an independent generic enumerator,
+checking each record's edge set with graph_core.cycle_order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import SizeGuardError
-from .graph_core import JahangirParams, LabeledGraph, build_jahangir, rim_arc_edges, spoke_edge
+from .graph_core import (JahangirParams, LabeledGraph, build_jahangir, cycle_order,
+                         rim_arc_edges, spoke_edge)
 
 VERIFY_GUARD = 8  # generic cycle enumeration is exponential; keep it small
 
@@ -68,31 +70,8 @@ class CensusReport:
 
 
 def _edge_set_is_simple_cycle(g: LabeledGraph, edge_indices: tuple[int, ...]) -> bool:
-    """True when the edges form one closed walk visiting each vertex once:
-    every touched vertex has degree exactly 2 and the edges are connected.
-    """
-    if not edge_indices:
-        return False
-    deg: dict[int, int] = {}
-    adj: dict[int, list[int]] = {}
-    for i in edge_indices:
-        u, v = g.edges[i]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(d != 2 for d in deg.values()):
-        return False
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(adj) and len(edge_indices) == len(adj)
+    """True when the edges form one simple cycle, as graph_core.cycle_order decides."""
+    return cycle_order(g.vertex_count, [g.edges[i] for i in edge_indices]) is not None
 
 
 def census_records(params: JahangirParams) -> Iterator[CycleRecord]:

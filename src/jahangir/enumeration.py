@@ -54,26 +54,14 @@ def _tree(edge_indices: tuple[int, ...]) -> SpanningTree:
 
 
 def verify_spanning_tree(g: LabeledGraph, tree: SpanningTree) -> bool:
-    """Independent check: |V| - 1 distinct in-range edges, acyclic, spanning."""
+    """Independent check: |V| - 1 distinct in-range edges that
+    graph_core.is_connected finds join all |V| vertices."""
     idx = tree.edge_indices
     if (len(idx) != g.vertex_count - 1 or len(set(idx)) != len(idx)
             or idx and (idx[0] < 0 or idx[-1] >= len(g.edges))):
         return False
-    # |V| - 1 edges that close no cycle join all |V| vertices
-    parent = list(range(g.vertex_count))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    for i in idx:
-        u, v = map(root, g.edges[i])
-        if u == v:
-            return False
-        parent[u] = v
-    return True
+    # |V| - 1 edges that join all |V| vertices close no cycle
+    return is_connected(LabeledGraph(g.vertex_count, tuple(g.edges[i] for i in idx)))
 
 
 def enumerate_all(g: LabeledGraph) -> Iterator[SpanningTree]:

@@ -184,8 +184,6 @@ def oriented_incidence_matrix(g: LabeledGraph) -> IntegerMatrix:
 
 
 def is_connected(g: LabeledGraph) -> bool:
-    if g.vertex_count == 1:
-        return True
     adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for u, v in g.edges:
         adj[u].append(v)
@@ -199,6 +197,27 @@ def is_connected(g: LabeledGraph) -> bool:
                 seen.add(y)
                 stack.append(y)
     return len(seen) == g.vertex_count
+
+
+def cycle_order(vertex_count: int, edges: list[tuple[int, int]]) -> list[int] | None:
+    """The vertices the edges touch, in cycle order, when the edges form one
+    simple cycle through all of them; None otherwise."""
+    nbrs: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    touched = [x for x in range(vertex_count) if nbrs[x]]
+    # a simple cycle has 3 or more vertices; a repeated edge is no 2-cycle
+    if len(touched) < 3 or any(len(nbrs[x]) != 2 for x in touched):
+        return None
+    start = touched[0]
+    order = [start]
+    prev, cur = start, nbrs[start][0]
+    while cur != start:
+        order.append(cur)
+        a, b = nbrs[cur]
+        prev, cur = cur, (b if a == prev else a)
+    return order if len(order) == len(touched) else None
 
 
 def dot_renderer(g: LabeledGraph):

@@ -3,8 +3,9 @@
 count_spanning_trees_det is the production path: the determinant of a first
 minor of the Laplacian, exact at any magnitude.  When the graph minus the
 deleted vertex is one cycle through every other vertex (J(n, m) with its hub
-deleted, the default), the minor taken in cycle order is cyclic tridiagonal:
-the degrees on the diagonal, -1 on the off-diagonals and in both corners.
+deleted, the default), as graph_core.cycle_order finds, the minor taken in
+that order is cyclic tridiagonal: the degrees on the diagonal, -1 on the
+off-diagonals and in both corners.
 Its determinant is trace(prod_i [[d_i, -1], [1, 0]]) - 2, a product of 2x2
 integer matrices in |V| - 1 steps, with no dense matrix built.  Every other
 graph or deleted vertex takes fraction-free (Bareiss) elimination of the
@@ -16,7 +17,7 @@ floating-point cross-check on small graphs.
 from __future__ import annotations
 
 from .errors import GraphValidationError, SizeGuardError, require_int
-from .graph_core import LabeledGraph, is_connected, laplacian_matrix
+from .graph_core import LabeledGraph, cycle_order, is_connected, laplacian_matrix
 
 EIGEN_GUARD = 64  # dense eigensolve allowed up to this many vertices
 BAREISS_GUARD = 400  # dense Bareiss elimination allowed up to this many vertices
@@ -60,29 +61,6 @@ def _laplacian_minor(g: LabeledGraph, deleted_vertex: int) -> list[list[int]]:
     return [[lap[i][j] for j in keep] for i in keep]
 
 
-def _cycle_order(g: LabeledGraph, deleted_vertex: int) -> list[int] | None:
-    """The vertices of g minus deleted_vertex in cycle order, when they form
-    one cycle through all of them; None otherwise."""
-    nv = g.vertex_count
-    if nv < 4:  # a simple graph has no cycle on fewer than 3 vertices
-        return None
-    nbrs: list[list[int]] = [[] for _ in range(nv)]
-    for u, v in g.edges:
-        if deleted_vertex != u and deleted_vertex != v:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-    if any(len(nbrs[x]) != 2 for x in range(nv) if x != deleted_vertex):
-        return None
-    start = 1 if deleted_vertex == 0 else 0
-    order = [start]
-    prev, cur = start, nbrs[start][0]
-    while cur != start:
-        order.append(cur)
-        a, b = nbrs[cur]
-        prev, cur = cur, (b if a == prev else a)
-    return order if len(order) == nv - 1 else None
-
-
 def _det_cycle_minor(diagonal: list[int]) -> int:
     """Determinant of the cyclic tridiagonal matrix with the given diagonal
     and -1 on the off-diagonals and in both corners (order 3 or more).
@@ -111,10 +89,8 @@ def count_spanning_trees_det(g: LabeledGraph, deleted_vertex: int = 0) -> int:
     """
     nv = g.vertex_count
     require_int(deleted_vertex, 0, "deleted_vertex", nv - 1)
-    if nv == 1:
-        return 1
-    order = _cycle_order(g, deleted_vertex)
-    if order is not None:
+    order = cycle_order(nv, [e for e in g.edges if deleted_vertex not in e])
+    if order is not None and len(order) == nv - 1:
         deg = g.degrees()
         return _det_cycle_minor([deg[x] for x in order])
     if nv > BAREISS_GUARD:
@@ -139,8 +115,6 @@ def eigenvalue_product_estimate(g: LabeledGraph, guard: int = EIGEN_GUARD) -> fl
         raise SizeGuardError(f"eigenvalue estimate limited to {guard} vertices (got {nv})")
     if not is_connected(g):
         raise GraphValidationError("eigenvalue estimate requires a connected graph")
-    if nv == 1:
-        return 1.0
     lap = np.array(laplacian_matrix(g).entries, dtype=float)
     eigs = np.linalg.eigvalsh(lap)
     prod = 1.0

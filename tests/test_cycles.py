@@ -83,6 +83,10 @@ class TestCensusRecords:
     def test_empty_edge_set_is_not_a_cycle(self):
         assert not _edge_set_is_simple_cycle(build_jahangir(JahangirParams(2, 3)), ())
 
+    def test_repeated_edge_is_not_a_cycle(self):
+        # edge 0 twice touches two vertices, each twice: no simple 2-cycle
+        assert not _edge_set_is_simple_cycle(build_jahangir(JahangirParams(2, 3)), (0, 0))
+
 
 class TestGenericCycleFinder:
     def test_triangle(self, triangle):

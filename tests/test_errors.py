@@ -171,7 +171,12 @@ def test_structural_invariants_refuse(build, message):
     (lambda: GapSignature(True, (0,)), "k must be an int (got bool)"),
     (lambda: GapSignature(2, (0.5, 1.5)), "gap must be an int (got float)"),
     (lambda: TreeCountBreakdown(2.0, 3, (1, 2, 3), 6), "n must be an int (got float)"),
-], ids=["spoke-m-float", "spoke-m-str", "gap-k-bool", "gap-float", "breakdown-n-float"])
+    (lambda: SpokeCombination(4, 2, (1, 2.5)), "index must be an int (got float)"),
+    (lambda: SpokeCombination(4, 2, (True, 2)), "index must be an int (got bool)"),
+    (lambda: TreeCountBreakdown(2, 3, (1.5, 2, 3), 6.5), "per_k entry must be an int (got float)"),
+    (lambda: TreeCountBreakdown(2, 3, (1, 2, 3), 6.0), "total must be an int (got float)"),
+], ids=["spoke-m-float", "spoke-m-str", "gap-k-bool", "gap-float", "breakdown-n-float",
+        "spoke-index-float", "spoke-index-bool", "per-k-float", "total-float"])
 def test_derivation_fields_follow_the_int_rule(build, message):
     # a float m once gave a float gap, and a str m a bare TypeError
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):

@@ -100,6 +100,10 @@ class TestEigenvalueEstimate:
     def test_star_is_a_single_tree(self, star5):
         assert abs(eigenvalue_product_estimate(star5) - 1.0) < 1e-9
 
+    def test_one_vertex_is_the_empty_tree(self):
+        # the product over no eigenvalue, divided by one vertex
+        assert eigenvalue_product_estimate(LabeledGraph(1, ())) == 1.0
+
     def test_rounds_to_exact_count_on_corpus(self, corpus):
         from jahangir import is_connected
 

@@ -41,6 +41,7 @@ from jahangir import (
     count_spanning_trees_det,
     enumerate_all,
     enumerate_jahangir,
+    find_simple_cycles,
     polynomial_coefficients,
     sigma,
     sigma_k,
@@ -52,8 +53,8 @@ from jahangir.cli import _engine_versions, _json, main
 from jahangir.combinatorics import _coefficient, sigma_total
 from jahangir.cycles import _edge_set_is_simple_cycle
 from jahangir.enumeration import jahangir_tree_edge_indices, tree_edge_indices
-from jahangir.graph_core import rim_arc_edges, spoke_edge
-from jahangir.matrix_tree import _cycle_order, _det_fraction_free, _laplacian_minor
+from jahangir.graph_core import cycle_order, rim_arc_edges, spoke_edge
+from jahangir.matrix_tree import _det_fraction_free, _laplacian_minor
 
 
 def census_sum(n, m, k):
@@ -62,6 +63,12 @@ def census_sum(n, m, k):
 
 def explicit_minor_det(g, deleted_vertex):
     return _det_fraction_free(_laplacian_minor(g, deleted_vertex))
+
+
+def minor_is_one_cycle(g, deleted_vertex):
+    """Is g minus deleted_vertex one cycle through all the other vertices?"""
+    order = cycle_order(g.vertex_count, [e for e in g.edges if deleted_vertex not in e])
+    return order is not None and len(order) == g.vertex_count - 1
 
 
 @st.composite
@@ -151,7 +158,7 @@ def test_per_k_sums_to_recurrence_total(n, m):
 def test_sigma_equals_kirchhoff(n, m):
     # the hub-deleted minor is a cycle: checked against its dense elimination too
     g = build_jahangir(JahangirParams(n, m))
-    assert _cycle_order(g, 0) is not None
+    assert minor_is_one_cycle(g, 0)
     assert sigma(n, m).total == count_spanning_trees_det(g) == explicit_minor_det(g, 0)
 
 
@@ -159,7 +166,7 @@ def test_sigma_equals_kirchhoff(n, m):
 @given(apex_plus_cycle())
 def test_cycle_minor_equals_bareiss_on_apex_plus_cycle(case):
     g, apex, spokes = case
-    assert _cycle_order(g, apex) is not None
+    assert minor_is_one_cycle(g, apex)
     count = count_spanning_trees_det(g, deleted_vertex=apex)
     assert count == explicit_minor_det(g, apex)
     if spokes == 0:
@@ -170,11 +177,53 @@ def test_cycle_minor_equals_bareiss_on_apex_plus_cycle(case):
 @given(apex_plus_path_or_two_cycles())
 def test_bareiss_fallback_equals_enumeration(case):
     g, apex, _ = case
-    assert _cycle_order(g, apex) is None
+    assert not minor_is_one_cycle(g, apex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # disconnected: no trees
         listed = sum(1 for _ in enumerate_all(g))
     assert count_spanning_trees_det(g, deleted_vertex=apex) == listed
+
+
+@st.composite
+def simple_graph(draw):
+    """Any simple graph on 3..6 vertices with at most 10 edges, connected or not."""
+    nv = draw(st.integers(3, 6))
+    pairs = [(u, v) for v in range(nv) for u in range(v)]
+    return LabeledGraph(nv, tuple(draw(st.lists(st.sampled_from(pairs), max_size=10,
+                                                 unique=True))))
+
+
+TWO_TRIANGLES = LabeledGraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_graph())
+@example(TWO_TRIANGLES)
+def test_cycle_order_accepts_exactly_the_simple_cycles(g):
+    # every edge subset against the census's own depth-first cycle finder;
+    # an accepted order walks the subset's edges and nothing else
+    accepted = set()
+    for r in range(g.edge_count + 1):
+        for subset in combinations(range(g.edge_count), r):
+            edges = [g.edges[i] for i in subset]
+            order = cycle_order(g.vertex_count, edges)
+            if order is not None:
+                steps = zip(order, order[1:] + order[:1])
+                assert {tuple(sorted(step)) for step in steps} == set(edges)
+                accepted.add(frozenset(subset))
+    assert accepted == find_simple_cycles(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_graph(), st.integers(0, 5))
+@example(TWO_TRIANGLES, 0)
+@example(LabeledGraph(5, ((0, 1), (1, 2), (2, 3), (1, 3))), 0)  # a cycle missing vertex 4
+def test_verified_subsets_count_the_determinant(g, deleted_vertex):
+    # the verifier's connectivity walk against the matrix tree theorem, from any vertex
+    deleted_vertex %= g.vertex_count
+    subsets = map(SpanningTree, combinations(range(g.edge_count), g.vertex_count - 1))
+    accepted = sum(verify_spanning_tree(g, t) for t in subsets)
+    assert accepted == count_spanning_trees_det(g, deleted_vertex)
 
 
 def leibniz_det(a):
