@@ -15,7 +15,9 @@ an envelope rendered once, byte-identical to the whole.  `enumerate
 The tree cap and --limit live here, not in the lazy enumerators: _planned
 checks the limit and sizes a listing of J(n, m) from its parameters alone,
 and `enumerate` and `count --method enumerate|all` are refused by it before
-any graph is built or any output written; islice then cuts the listing.
+any graph is built or any output written; islice cuts it where that size
+binds.  Other commands render their whole text before writing any of it.
+COMMANDS declares each subcommand once; build_parser builds argparse from it.
 
 Exit codes: 0 success, 2 parameter or validation problem, 3 enumeration cap
 exceeded, 4 counting engines disagree under --method all, or a listing's
@@ -28,6 +30,7 @@ import argparse
 import os
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _string  # C, where CPython has it
 from platform import python_version
@@ -42,19 +45,15 @@ from .graph_core import JahangirParams, build_jahangir, dot_renderer, to_dot
 from .matrix_tree import count_spanning_trees_det
 
 
-_ENGINE_VERSIONS: dict = {}
-
-
+@cache
 def _engine_versions() -> dict:
     # from numpy's metadata, as importing numpy costs more than a JSON command
-    if not _ENGINE_VERSIONS:
-        from importlib import metadata
-        try:
-            numpy = metadata.version("numpy")
-        except metadata.PackageNotFoundError:  # numpy is an optional extra
-            numpy = "not installed"
-        _ENGINE_VERSIONS.update(jahangir=__version__, python=python_version(), numpy=numpy)
-    return _ENGINE_VERSIONS
+    from importlib import metadata
+    try:
+        numpy = metadata.version("numpy")
+    except metadata.PackageNotFoundError:  # numpy is an optional extra
+        numpy = "not installed"
+    return {"jahangir": __version__, "python": python_version(), "numpy": numpy}
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -213,7 +212,9 @@ def _cmd_coeffs(args) -> int:
 def _cmd_enumerate(args) -> int:
     params = JahangirParams(args.n, args.m)
     count = _planned(args.n, args.m, args.limit, args.allow_huge)
-    trees = islice(jahangir_tree_edge_indices(params), args.limit)
+    # only a binding limit cuts; no listing reaches one past sys.maxsize
+    trees = islice(jahangir_tree_edge_indices(params),
+                   min(count, sys.maxsize) if count == args.limit else None)
     if args.format == "dot":
         draw = dot_renderer(build_jahangir(params))
         for i, t in enumerate(trees):
@@ -243,11 +244,8 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_table(args) -> int:
     rows = sigma_table(args.n, args.m_max)
-    str(rows[-1][1])  # the largest sigma: past the digit limit, refused before any output
     if args.format == "csv":
-        print("m,sigma")
-        for m, total in rows:
-            print(f"{m},{total}")
+        print("\n".join(["m,sigma", *[f"{m},{total}" for m, total in rows]]))
         return 0
     result = {"n": args.n, "m_max": args.m_max,
               "rows": [{"m": m, "sigma": str(total)} for m, total in rows]}
@@ -275,6 +273,38 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+def _choice(option: str, *choices: str) -> tuple:
+    return option, dict(choices=list(choices), default=choices[0])
+
+
+_N, _M, _M_MAX = [(f, dict(type=int, required=True)) for f in ("--n", "--m", "--m-max")]
+_ALLOW_HUGE = ("--allow-huge", dict(action="store_true",
+                                    help="disable the enumeration cap of 10^7 trees"))
+
+# name: (handler, help line, *flags), a flag (option string, argparse keywords)
+# in the order _emit echoes them
+COMMANDS = {
+    "count": (_cmd_count, "spanning-tree count of J(n, m)", _N, _M,
+              _choice("--method", "combinatorial", "kirchhoff", "enumerate", "all"),
+              ("--breakdown", dict(action="store_true",
+                                   help="include the per-k split by number of kept spokes")),
+              _ALLOW_HUGE),
+    "coeffs": (_cmd_coeffs, "coefficients of sigma as a polynomial in n", _M),
+    "enumerate": (_cmd_enumerate, "list spanning trees of J(n, m)", _N, _M,
+                  ("--limit", dict(type=int, default=None)),
+                  _choice("--format", "json", "dot"), _ALLOW_HUGE),
+    "cycles": (_cmd_cycles, "cycle census of J(2, m)", _M),
+    "table": (_cmd_table, "sigma(n, m) for m = 3..m_max", _N, _M_MAX,
+              _choice("--format", "csv", "json")),
+    "ratios": (_cmd_ratios, "m-direction ratios sigma(n, m+1)/sigma(n, m)", _N, _M_MAX,
+               ("--precision", dict(type=int, default=9)),
+               ("--decimal-comma", dict(action="store_true",
+                                        help="render decimals with a comma separator"))),
+    "graph": (_cmd_graph, "export J(n, m) itself", _N, _M, _choice("--format", "dot", "json")),
+}
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jahangir",
@@ -284,67 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timestamp", action="store_true",
                         help="add a UTC timestamp field to JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="spanning-tree count of J(n, m)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--method", choices=["combinatorial", "kirchhoff", "enumerate", "all"],
-                   default="combinatorial")
-    p.add_argument("--breakdown", action="store_true",
-                   help="include the per-k split by number of kept spokes")
-    p.add_argument("--allow-huge", action="store_true",
-                   help="disable the enumeration cap of 10^7 trees")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("coeffs", help="coefficients of sigma as a polynomial in n")
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_coeffs)
-
-    p = sub.add_parser("enumerate", help="list spanning trees of J(n, m)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--allow-huge", action="store_true",
-                   help="disable the enumeration cap of 10^7 trees")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("cycles", help="cycle census of J(2, m)")
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_cycles)
-
-    p = sub.add_parser("table", help="sigma(n, m) for m = 3..m_max")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", dest="m_max", type=int, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("ratios", help="m-direction ratios sigma(n, m+1)/sigma(n, m)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", dest="m_max", type=int, required=True)
-    p.add_argument("--precision", type=int, default=9)
-    p.add_argument("--decimal-comma", action="store_true",
-                   help="render decimals with a comma separator")
-    p.set_defaults(func=_cmd_ratios)
-
-    p = sub.add_parser("graph", help="export J(n, m) itself")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.set_defaults(func=_cmd_graph)
-
+    for name, (handler, help_line, *flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option, keywords in flags:
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
-_parser = None  # built on first use, then reused by every call in the process
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:
@@ -358,7 +338,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # downstream consumer closed the pipe; park stdout on devnull so the
         # interpreter's exit flush does not raise a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except KeyboardInterrupt:
         return 130

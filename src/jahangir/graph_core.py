@@ -40,7 +40,8 @@ class LabeledGraph:
     """Simple undirected graph: a vertex count and an ordered edge list.
 
     Edges are stored as (u, v) with u < v.  The constructor normalizes
-    orientation and rejects loops, duplicates, and out-of-range endpoints.
+    orientation and rejects loops, duplicates, out-of-range endpoints, and
+    endpoints that are not ints (a bool among them).
     """
 
     vertex_count: int
@@ -52,6 +53,9 @@ class LabeledGraph:
         seen = set()
         for e in self.edges:
             u, v = e
+            if not (type(u) is int is type(v)):  # one fast test; the int rule on a miss
+                for x in e:
+                    require_int(x, 0, "endpoint")
             if u == v:
                 raise GraphValidationError(f"loop at vertex {u} is not allowed")
             if u > v:

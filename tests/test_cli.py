@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +10,7 @@ from itertools import islice
 import pytest
 
 from jahangir import count_spanning_trees_det, sigma
-from jahangir.cli import main
+from jahangir.cli import COMMANDS, main
 
 
 def refuse(*args, **kwargs):
@@ -54,16 +56,13 @@ class TestCount:
         assert code == 0
         assert payload["result"]["total"] == str(sigma(100, 100).total)
 
-    def test_parser_built_once(self, capsys, monkeypatch):
-        import jahangir.cli as cli_mod
+    def test_parser_built_once(self, capsys):
+        from jahangir.cli import build_parser
 
-        built = []
-        monkeypatch.setattr(cli_mod, "_parser", None)
-        monkeypatch.setattr(cli_mod, "build_parser",
-                            lambda real=cli_mod.build_parser: built.append(1) or real())
+        build_parser.cache_clear()
         assert main(["coeffs", "--m", "3"]) == 0
         assert main(["coeffs", "--m", "4"]) == 0
-        assert built == [1]
+        assert build_parser.cache_info().misses == 1
 
     def test_method_enumerate(self, capsys):
         code, payload = run_json(capsys, ["count", "--n", "2", "--m", "4",
@@ -196,6 +195,18 @@ class TestEnumerate:
         assert code == 0
         assert payload["result"]["count"] == 5
 
+    def test_limit_past_sigma_lists_every_tree(self, capsys):
+        # a limit that does not bind cuts nothing, however far past sys.maxsize
+        argv = ["enumerate", "--n", "2", "--m", "3", "--limit", "99999999999999999999999"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert payload["result"]["count"] == 50
+        assert len(payload["result"]["trees"]) == 50
+        assert main(argv + ["--format", "dot"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("graph tree_") == 50
+        assert captured.err == ""
+
     def test_limit_one(self, capsys):
         code, payload = run_json(capsys, ["enumerate", "--n", "2", "--m", "3",
                                           "--limit", "1"])
@@ -294,6 +305,22 @@ class TestEnumerate:
             err = proc.stderr.read()
         assert proc.returncode == 0
         assert err == b""
+
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+    def test_closed_pipe_leaves_no_descriptor_open(self):
+        # an in-process caller writing into a pipe whose reader is gone: stdout
+        # is parked on devnull, with no descriptor left behind on any call
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        for _ in range(5):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with open(write_end, "w") as stream, redirect_stdout(stream):
+                assert main(["enumerate", "--n", "2", "--m", "6"]) == 0
+        assert open_fds() == before
 
 
 # sigma above 10^7 with no limit: every listing of these is refused
@@ -493,6 +520,13 @@ class TestParsing:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_subcommand_help_names_every_declared_flag(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        named = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        _, _, *flags = COMMANDS[command]
+        assert {option for option, _ in flags} <= named
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -517,9 +551,12 @@ class TestParsing:
             raise metadata.PackageNotFoundError(name)
 
         monkeypatch.setattr(metadata, "version", not_installed)
-        monkeypatch.setattr(cli_mod, "_ENGINE_VERSIONS", {})
-        for argv in (["count", "--n", "2", "--m", "3"],
-                     ["graph", "--n", "2", "--m", "3", "--format", "json"]):
-            code, payload = run_json(capsys, argv)
-            assert code == 0
-            assert payload["engine_versions"]["numpy"] == "not installed"
+        cli_mod._engine_versions.cache_clear()
+        try:
+            for argv in (["count", "--n", "2", "--m", "3"],
+                         ["graph", "--n", "2", "--m", "3", "--format", "json"]):
+                code, payload = run_json(capsys, argv)
+                assert code == 0
+                assert payload["engine_versions"]["numpy"] == "not installed"
+        finally:  # later tests read the real metadata again
+            cli_mod._engine_versions.cache_clear()

@@ -175,9 +175,13 @@ def test_structural_invariants_refuse(build, message):
     (lambda: SpokeCombination(4, 2, (True, 2)), "index must be an int (got bool)"),
     (lambda: TreeCountBreakdown(2, 3, (1.5, 2, 3), 6.5), "per_k entry must be an int (got float)"),
     (lambda: TreeCountBreakdown(2, 3, (1, 2, 3), 6.0), "total must be an int (got float)"),
+    (lambda: LabeledGraph(3, ((0, True),)), "endpoint must be an int (got bool)"),
+    (lambda: LabeledGraph(3, ((1.0, 2),)), "endpoint must be an int (got float)"),
 ], ids=["spoke-m-float", "spoke-m-str", "gap-k-bool", "gap-float", "breakdown-n-float",
-        "spoke-index-float", "spoke-index-bool", "per-k-float", "total-float"])
+        "spoke-index-float", "spoke-index-bool", "per-k-float", "total-float",
+        "endpoint-bool", "endpoint-float"])
 def test_derivation_fields_follow_the_int_rule(build, message):
-    # a float m once gave a float gap, and a str m a bare TypeError
+    # a float m once gave a float gap, a str m a bare TypeError, and a bool
+    # endpoint a vertex named vTrue
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
         build()
