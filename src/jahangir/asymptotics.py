@@ -28,13 +28,8 @@ def decimal_truncate(x: Fraction, places: int) -> str:
 def decimal_round_half_even(x: Fraction, places: int) -> str:
     """Decimal string of x rounded to `places` digits, ties to even."""
     require_int(places, 0, "places")
-    return _round_half_even(x, places)
-
-
-def _round_half_even(x: Fraction, places: int) -> str:
-    # decimal_round_half_even with places taken as checked: one test a series
     if x < 0:
-        return "-" + _round_half_even(-x, places)
+        return "-" + decimal_round_half_even(-x, places)
     q, r = divmod(x.numerator * 10**places, x.denominator)
     if 2 * r > x.denominator or (2 * r == x.denominator and q % 2 == 1):
         q += 1
@@ -117,7 +112,7 @@ def ratio_series(n: int, m_max: int, places: int = 9) -> RatioSeries:
     entries = []
     for (m, before), (_, after) in zip(rows, rows[1:]):
         r = Fraction(after, before)
-        entries.append(RatioEntry(m, r, _round_half_even(r, places)))
+        entries.append(RatioEntry(m, r, decimal_round_half_even(r, places)))
     return RatioSeries(n, tuple(entries))
 
 

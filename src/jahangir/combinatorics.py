@@ -44,10 +44,8 @@ class SpokeCombination:
         require_int(self.k, 1, "k", self.m)
         if len(self.indices) != self.k:
             raise ParameterDomainError("index count does not match k")
-        if any(isinstance(i, int) and not 1 <= i <= self.m for i in self.indices):
-            raise ParameterDomainError("indices must lie in 1..m")
         for i in self.indices:
-            require_int(i, 1, "index")
+            require_int(i, 1, "index", self.m)
         if list(self.indices) != sorted(set(self.indices)):
             raise ParameterDomainError("indices must be strictly increasing")
 
@@ -63,8 +61,6 @@ class GapSignature:
         require_int(self.k, 1, "k")
         if len(self.gaps) != self.k:
             raise ParameterDomainError("gap count does not match k")
-        if any(isinstance(g, int) and g < 0 for g in self.gaps):
-            raise ParameterDomainError("gaps must be nonnegative")
         for g in self.gaps:
             require_int(g, 0, "gap")
         if list(self.gaps) != sorted(self.gaps):

@@ -11,7 +11,7 @@ The k = m case degenerates: the two boundary spokes coincide, so the edge
 set is the whole rim plus a single spoke (2m + 1 edges, hub degree 1), not
 a cycle.  The rim cycle itself, length 2m, never arises from the joining
 construction.  The graph's true simple-cycle count is therefore
-m*m - m + 1.  census_records, a generator over validated JahangirParams,
+m*m - m + 1.  census_records, a generator over a validated J(2, m),
 yields all m*m records, marking the degenerate ones; census_j2m lists them,
 and verify_census reconciles them with an independent generic enumerator,
 checking each record's edge set with graph_core.cycle_order.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import SizeGuardError
+from .errors import ParameterDomainError, SizeGuardError
 from .graph_core import (JahangirParams, LabeledGraph, build_jahangir, cycle_order,
                          rim_arc_edges, spoke_edge)
 
@@ -75,8 +75,10 @@ def _edge_set_is_simple_cycle(g: LabeledGraph, edge_indices: tuple[int, ...]) ->
 
 
 def census_records(params: JahangirParams) -> Iterator[CycleRecord]:
-    """The census_j2m(params.m) records one at a time, for params = J(2, m).
-    is_simple_cycle is the proven k < m: no graph is built, no record checked."""
+    """The census_j2m(params.m) records one at a time; any n but 2 is refused at
+    the first.  is_simple_cycle is the proven k < m: no graph built, no record checked."""
+    if params.n != 2:
+        raise ParameterDomainError(f"the census is proved for n = 2 only (got n = {params.n})")
     m = params.m
     around = tuple(range(1, m + 1)) * 2  # a run of k inner cycles is a slice
     for k in range(1, m + 1):

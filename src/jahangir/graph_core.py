@@ -187,9 +187,10 @@ def oriented_incidence_matrix(g: LabeledGraph) -> IntegerMatrix:
     return IntegerMatrix(nv, ne, tuple(tuple(row) for row in grid))
 
 
-def is_connected(g: LabeledGraph) -> bool:
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in g.edges:
+def is_connected(vertex_count: int, edges: list[tuple[int, int]]) -> bool:
+    """True when the edges, taken from a validated graph, join all vertex_count vertices."""
+    adj: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     seen = {0}
@@ -200,7 +201,7 @@ def is_connected(g: LabeledGraph) -> bool:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
-    return len(seen) == g.vertex_count
+    return len(seen) == vertex_count
 
 
 def cycle_order(vertex_count: int, edges: list[tuple[int, int]]) -> list[int] | None:
@@ -225,15 +226,17 @@ def cycle_order(vertex_count: int, edges: list[tuple[int, int]]) -> list[int] | 
 
 
 def dot_renderer(g: LabeledGraph):
-    """to_dot(g, highlight_edges, name) as a function of its last two arguments:
-    the vertex block and both lines of each edge are formatted once per graph."""
+    """to_dot(g, highlight_edges, name), highlights unchecked, as a function of its last
+    two arguments: each line formatted once per graph, dashed ones on first use."""
     vertices = "".join([f"  v{v};\n" for v in range(g.vertex_count)])
     solid = [f"  v{u} -- v{v};\n" for u, v in g.edges]
-    dashed = [line[:-2] + " [style=dashed];\n" for line in solid]
+    dashed: list[str] = []
 
     def render(highlight_edges=None, name: str = "g") -> str:
         lines = solid
         if highlight_edges is not None:
+            if not dashed:
+                dashed.extend([line[:-2] + " [style=dashed];\n" for line in solid])
             lines = dashed.copy()
             for i in highlight_edges:
                 lines[i] = solid[i]
@@ -244,11 +247,14 @@ def dot_renderer(g: LabeledGraph):
 
 def to_dot(g: LabeledGraph, highlight_edges=None, name: str = "g") -> str:
     """DOT rendering: vertices v0..v_{k}, one statement per edge in canonical
-    order.  When highlight_edges (a set of edge indices of g) is given, edges
-    outside the set are drawn dashed; used to display a spanning tree inside
-    its host graph.  An index outside 0..|E| - 1 raises IndexError.
-    """
-    for i in highlight_edges or ():
-        if not 0 <= i < len(g.edges):
-            raise IndexError(f"edge index {i} out of range 0..{len(g.edges) - 1}")
+    order.  Edges outside highlight_edges (edge indices of g, any iterable, read
+    once), when given, are drawn dashed: a spanning tree inside its host graph.
+    A non-int index fails the int rule; one outside 0..|E| - 1 raises IndexError."""
+    if highlight_edges is not None:
+        highlight_edges = tuple(highlight_edges)
+        for i in highlight_edges:
+            if type(i) is not int:  # one fast test; the int rule on a miss
+                require_int(i, 0, "edge index")
+            if not 0 <= i < len(g.edges):
+                raise IndexError(f"edge index {i} out of range 0..{len(g.edges) - 1}")
     return dot_renderer(g)(highlight_edges, name)

@@ -113,7 +113,7 @@ def eigenvalue_product_estimate(g: LabeledGraph, guard: int = EIGEN_GUARD) -> fl
     nv = g.vertex_count
     if nv > guard:
         raise SizeGuardError(f"eigenvalue estimate limited to {guard} vertices (got {nv})")
-    if not is_connected(g):
+    if not is_connected(nv, g.edges):
         raise GraphValidationError("eigenvalue estimate requires a connected graph")
     lap = np.array(laplacian_matrix(g).entries, dtype=float)
     eigs = np.linalg.eigvalsh(lap)

@@ -11,7 +11,7 @@ from jahangir import (
     find_simple_cycles,
     verify_census,
 )
-from jahangir.cycles import _edge_set_is_simple_cycle
+from jahangir.cycles import _edge_set_is_simple_cycle, census_records
 
 
 class TestCensusRecords:
@@ -79,6 +79,12 @@ class TestCensusRecords:
     def test_m_below_three_rejected(self):
         with pytest.raises(ParameterDomainError):
             census_j2m(2)
+
+    def test_n_other_than_two_refused_at_the_first_record(self):
+        # J(3, 4) once gave a first record of 5 edges, flagged a simple 4-cycle
+        records = census_records(JahangirParams(3, 4))
+        with pytest.raises(ParameterDomainError, match=r"\bn = 3\b"):
+            next(records)
 
     def test_empty_edge_set_is_not_a_cycle(self):
         assert not _edge_set_is_simple_cycle(build_jahangir(JahangirParams(2, 3)), ())

@@ -37,6 +37,7 @@ from jahangir import (
     sigma,
     sigma_k,
     sigma_table,
+    to_dot,
     verify_census,
 )
 from jahangir.asymptotics import RatioEntry
@@ -148,9 +149,9 @@ def test_bounds_are_refused_with_the_bound(call_with, message):
 @pytest.mark.parametrize("build, message", [
     (lambda: SpokeCombination(4, 2, (1,)), "index count does not match k"),
     (lambda: SpokeCombination(4, 2, (2, 2)), "strictly increasing"),
-    (lambda: SpokeCombination(4, 2, (0, 2)), "must lie in 1..m"),
+    (lambda: SpokeCombination(4, 2, (0, 2)), "index 0 out of range 1..4"),
     (lambda: GapSignature(2, (0,)), "gap count does not match k"),
-    (lambda: GapSignature(2, (-1, 3)), "nonnegative"),
+    (lambda: GapSignature(2, (-1, 3)), r"gap must be >= 0 \(got -1\)"),
     (lambda: GapSignature(2, (2, 0)), "sorted ascending"),
     (lambda: TreeCountBreakdown(2, 3, (1, 2), 3), "one entry per k"),
     (lambda: TreeCountBreakdown(2, 3, (1, 2, 3), 7), "sum of per_k"),
@@ -177,11 +178,13 @@ def test_structural_invariants_refuse(build, message):
     (lambda: TreeCountBreakdown(2, 3, (1, 2, 3), 6.0), "total must be an int (got float)"),
     (lambda: LabeledGraph(3, ((0, True),)), "endpoint must be an int (got bool)"),
     (lambda: LabeledGraph(3, ((1.0, 2),)), "endpoint must be an int (got float)"),
+    (lambda: to_dot(TRIANGLE, {True}), "edge index must be an int (got bool)"),
+    (lambda: to_dot(TRIANGLE, [0, 1.0]), "edge index must be an int (got float)"),
 ], ids=["spoke-m-float", "spoke-m-str", "gap-k-bool", "gap-float", "breakdown-n-float",
         "spoke-index-float", "spoke-index-bool", "per-k-float", "total-float",
-        "endpoint-bool", "endpoint-float"])
+        "endpoint-bool", "endpoint-float", "dot-index-bool", "dot-index-float"])
 def test_derivation_fields_follow_the_int_rule(build, message):
-    # a float m once gave a float gap, a str m a bare TypeError, and a bool
-    # endpoint a vertex named vTrue
+    # a float m once gave a float gap, a str m a bare TypeError, a bool
+    # endpoint a vertex named vTrue, and a bool edge index highlighted edge 1
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
         build()

@@ -8,11 +8,11 @@ from jahangir import (
     adjacency_matrix,
     build_jahangir,
     degree_matrix,
-    is_connected,
     laplacian_matrix,
     oriented_incidence_matrix,
     to_dot,
 )
+from jahangir.graph_core import dot_renderer, is_connected
 
 
 class TestJahangirParams:
@@ -187,13 +187,21 @@ class TestMatrices:
 class TestConnectivityAndDot:
     def test_connected_fixtures(self, four_cycle, k4, star5, path4):
         for g in (four_cycle, k4, star5, path4):
-            assert is_connected(g)
+            assert is_connected(g.vertex_count, g.edges)
 
     def test_disconnected(self, disconnected):
-        assert not is_connected(disconnected)
+        assert not is_connected(disconnected.vertex_count, disconnected.edges)
 
     def test_singleton_connected(self):
-        assert is_connected(LabeledGraph(1, ()))
+        assert is_connected(1, ())
+
+    def test_walks_an_edge_list(self):
+        # one vertex with no edges is connected; the same list on more is not
+        assert is_connected(1, [])
+        assert not is_connected(2, [])
+        assert is_connected(4, [(0, 1), (2, 3), (1, 2)])
+        assert not is_connected(4, [(0, 1), (2, 3)])
+        assert not is_connected(5, [(0, 1), (1, 2), (2, 3)])  # vertex 4 left out
 
     def test_dot_lists_all_vertices_and_edges(self, four_cycle):
         dot = to_dot(four_cycle, name="c4")
@@ -216,3 +224,19 @@ class TestConnectivityAndDot:
         dot = to_dot(g, [0, 8], "t")
         assert dot.count("style=dashed") == 7
         assert "v1 -- v2;" in dot and "v0 -- v5;" in dot
+
+    def test_dot_reads_an_iterator_once(self):
+        # the range check once used an iterator up, and every edge came out dashed
+        g = build_jahangir(JahangirParams(2, 3))
+        tree = (0, 1, 2, 3, 4, 6)
+        drawn = to_dot(g, set(tree), "t")
+        assert drawn.count("style=dashed") == 3
+        assert to_dot(g, iter(tree), "t") == drawn
+        assert to_dot(g, (i for i in tree), "t") == drawn
+
+    def test_one_renderer_draws_the_graph_then_a_tree(self):
+        g = build_jahangir(JahangirParams(3, 4))
+        draw = dot_renderer(g)
+        assert draw(None, "g") == to_dot(g, name="g")
+        assert draw((0, 5, 12), "t") == to_dot(g, (0, 5, 12), "t")
+        assert draw(None, "g") == to_dot(g, name="g")

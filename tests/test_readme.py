@@ -1,0 +1,33 @@
+"""The README's library quick tour runs, and every trailing comment on it that
+reads as a Python value is the value of the expression on its line."""
+
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_tour() -> str:
+    return re.search(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S).group(1)
+
+
+def test_quick_tour_comments_hold():
+    source = quick_tour()
+    lines = source.splitlines()
+    namespace = {"Fraction": Fraction}
+    checked = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        line = lines[stmt.end_lineno - 1]
+        try:  # a comment in prose, such as "census vs generic ...", is no value
+            expected = eval(line.partition("#")[2], dict(namespace))
+        except (SyntaxError, NameError):
+            continue
+        assert value == expected, line
+        checked.append(expected)
+    assert checked == [(32, 80, 64, 16), 192, (16, 20, 8, 1), Fraction(96, 25)]
