@@ -18,6 +18,7 @@ and `enumerate` and `count --method enumerate|all` are refused by it before
 any graph is built or any output written; islice cuts it where that size
 binds.  Other commands render their whole text before writing any of it.
 COMMANDS declares each subcommand once; build_parser builds argparse from it.
+ENGINES declares each count engine once, and `count --method` offers its names.
 
 Exit codes: 0 success, 2 parameter or validation problem, 3 enumeration cap
 exceeded, 4 counting engines disagree under --method all, or a listing's
@@ -169,30 +170,30 @@ def _planned(n: int, m: int, limit, allow_huge: bool) -> int:
     return planned
 
 
+# name: the count of J(n, m) from its params and graph, in the order --method
+# all echoes them, the first with no graph; each looks its functions up here
+ENGINES = {
+    "combinatorial": lambda params, g: sigma_total(params.n, params.m),
+    "kirchhoff": lambda params, g: count_spanning_trees_det(g),
+    "enumerate": lambda params, g: sum(1 for _ in tree_edge_indices(g)),
+}
+
+
 def _cmd_count(args) -> int:
     params = JahangirParams(args.n, args.m)
-    if args.method in ("enumerate", "all"):
+    methods = [*ENGINES] if args.method == "all" else [args.method]
+    if "enumerate" in methods:
         _planned(args.n, args.m, None, args.allow_huge)
-    engines = {}
-    if args.method in ("combinatorial", "all"):
-        engines["combinatorial"] = sigma_total(args.n, args.m)
-    if args.method != "combinatorial":
-        g = build_jahangir(params)
-    if args.method in ("kirchhoff", "all"):
-        engines["kirchhoff"] = count_spanning_trees_det(g)
-    if args.method in ("enumerate", "all"):
-        engines["enumerate"] = sum(1 for _ in tree_edge_indices(g))
+    g = None if methods == [*ENGINES][:1] else build_jahangir(params)
+    engines = {name: ENGINES[name](params, g) for name in methods}
 
     result = {"n": args.n, "m": args.m, "method": args.method}
-    agreement = True
+    agreement = len(set(engines.values())) == 1
     if args.method == "all":
-        agreement = len(set(engines.values())) == 1
         result["engines"] = {name: str(v) for name, v in engines.items()}
         result["agreement"] = agreement
-        if agreement:
-            result["total"] = str(engines["combinatorial"])
-    else:
-        result["total"] = str(engines[args.method])
+    if agreement:
+        result["total"] = str(engines[methods[0]])
     if args.breakdown:
         result["per_k"] = [str(v) for v in sigma(args.n, args.m).per_k]
 
@@ -232,7 +233,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_cycles(args) -> int:
     m = args.m
-    records = census_records(JahangirParams(2, m))  # m is refused here, before any output
+    records = census_records(m)  # m is refused here, before any output
     # the closed forms proved in the cycles module: m runs for each k = 1..m,
     # of length 2(k + 1), simple exactly when k < m
     result = {"m": m, "record_count": m * m, "simple_cycle_count": m * m - m,
@@ -285,7 +286,7 @@ _ALLOW_HUGE = ("--allow-huge", dict(action="store_true",
 # in the order _emit echoes them
 COMMANDS = {
     "count": (_cmd_count, "spanning-tree count of J(n, m)", _N, _M,
-              _choice("--method", "combinatorial", "kirchhoff", "enumerate", "all"),
+              _choice("--method", *ENGINES, "all"),
               ("--breakdown", dict(action="store_true",
                                    help="include the per-k split by number of kept spokes")),
               _ALLOW_HUGE),

@@ -11,10 +11,10 @@ The k = m case degenerates: the two boundary spokes coincide, so the edge
 set is the whole rim plus a single spoke (2m + 1 edges, hub degree 1), not
 a cycle.  The rim cycle itself, length 2m, never arises from the joining
 construction.  The graph's true simple-cycle count is therefore
-m*m - m + 1.  census_records, a generator over a validated J(2, m),
-yields all m*m records, marking the degenerate ones; census_j2m lists them,
-and verify_census reconciles them with an independent generic enumerator,
-checking each record's edge set with graph_core.cycle_order.
+m*m - m + 1.  census_records(m), n = 2 fixed and m checked when called,
+yields all m*m records lazily, marking the degenerate ones; census_j2m
+lists them, and verify_census reconciles them with an independent generic
+enumerator, checking each record's edge set with graph_core.cycle_order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError, SizeGuardError
+from .errors import SizeGuardError
 from .graph_core import (JahangirParams, LabeledGraph, build_jahangir, cycle_order,
                          rim_arc_edges, spoke_edge)
 
@@ -74,19 +74,20 @@ def _edge_set_is_simple_cycle(g: LabeledGraph, edge_indices: tuple[int, ...]) ->
     return cycle_order(g.vertex_count, [g.edges[i] for i in edge_indices]) is not None
 
 
-def census_records(params: JahangirParams) -> Iterator[CycleRecord]:
-    """The census_j2m(params.m) records one at a time; any n but 2 is refused at
-    the first.  is_simple_cycle is the proven k < m: no graph built, no record checked."""
-    if params.n != 2:
-        raise ParameterDomainError(f"the census is proved for n = 2 only (got n = {params.n})")
-    m = params.m
+def census_records(m: int) -> Iterator[CycleRecord]:
+    """The census_j2m(m) records one at a time, m refused at the call, before any.
+    is_simple_cycle is the proven k < m: no graph built, no record checked."""
+    params = JahangirParams(2, m)
     around = tuple(range(1, m + 1)) * 2  # a run of k inner cycles is a slice
-    for k in range(1, m + 1):
-        for start in range(m):
-            first, last = around[start], around[start + k]  # last == first when k == m
-            spokes = sorted({spoke_edge(params, first), spoke_edge(params, last)})
-            yield CycleRecord(around[start:start + k], 2 * (k + 1),
-                              tuple(rim_arc_edges(params, first, k) + spokes), k < m)
+
+    def records():
+        for k in range(1, m + 1):
+            for start in range(m):
+                first, last = around[start], around[start + k]  # last == first when k == m
+                spokes = sorted({spoke_edge(params, first), spoke_edge(params, last)})
+                yield CycleRecord(around[start:start + k], 2 * (k + 1),
+                                  tuple(rim_arc_edges(params, first, k) + spokes), k < m)
+    return records()
 
 
 def census_j2m(m: int) -> list[CycleRecord]:
@@ -96,7 +97,7 @@ def census_j2m(m: int) -> list[CycleRecord]:
     record is a simple cycle of length 2(k + 1); the m records at k = m are
     degenerate (rim plus one spoke) and carry is_simple_cycle False.
     """
-    return list(census_records(JahangirParams(2, m)))
+    return list(census_records(m))
 
 
 def find_simple_cycles(g: LabeledGraph) -> set[frozenset[int]]:
@@ -153,7 +154,7 @@ def verify_census(m: int) -> CensusReport:
     params = JahangirParams(2, m)  # m refused before it meets the guard
     if m > VERIFY_GUARD:
         raise SizeGuardError(f"generic verification limited to m <= {VERIFY_GUARD} (got {m})")
-    records = list(census_records(params))
+    records = list(census_records(m))
     g = build_jahangir(params)
     generic = find_simple_cycles(g)
 

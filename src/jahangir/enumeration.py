@@ -19,7 +19,8 @@ Two independent producers of strictly ascending edge-index tuples:
   is spliced from runs of the rim, with no set and no sort.
 
 Both are generators over validated input.  enumerate_all and
-enumerate_jahangir wrap each tuple in a SpanningTree; the CLI draws the
+enumerate_jahangir wrap each tuple in a graph_core.SpanningTree, skipping
+its checks (int indices from 0 up, ascending); the CLI draws the
 tuples, sliced with islice.  None counts the trees it is about to list; the
 CLI, which drains them, caps a listing up front.
 """
@@ -27,37 +28,26 @@ CLI, which drains them, caps a listing up front.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .graph_core import JahangirParams, LabeledGraph, is_connected, spoke_edge
-
-
-@dataclass(frozen=True)
-class SpanningTree:
-    """Strictly ascending edge indices into the host graph's canonical edge list."""
-
-    edge_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(a < b for a, b in zip(self.edge_indices, self.edge_indices[1:])):
-            raise ValueError("edge indices must be sorted ascending")
+from .graph_core import JahangirParams, LabeledGraph, SpanningTree, is_connected, spoke_edge
 
 
 def _tree(edge_indices: tuple[int, ...]) -> SpanningTree:
-    # the producers' constructor: their tuples are strictly ascending by
-    # construction, so the check in __init__ is skipped
+    # the producers' constructor: their tuples hold strictly ascending ints
+    # from 0 up by construction, so the checks in __post_init__ are skipped
     tree = object.__new__(SpanningTree)
     object.__setattr__(tree, "edge_indices", edge_indices)
     return tree
 
 
 def verify_spanning_tree(g: LabeledGraph, tree: SpanningTree) -> bool:
-    """Independent check: |V| - 1 in-range edges of g (distinct, since a tree's
-    indices ascend) that graph_core.is_connected finds join all |V| vertices."""
+    """Independent check: |V| - 1 in-range edges of g (distinct and from 0 up,
+    as a SpanningTree's int indices are) that graph_core.is_connected finds
+    join all |V| vertices."""
     idx = tree.edge_indices
-    if len(idx) != g.vertex_count - 1 or idx and (idx[0] < 0 or idx[-1] >= len(g.edges)):
+    if len(idx) != g.vertex_count - 1 or idx and idx[-1] >= len(g.edges):
         return False
     # |V| - 1 edges that join all |V| vertices close no cycle
     return is_connected(g.vertex_count, [g.edges[i] for i in idx])

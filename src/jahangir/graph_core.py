@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphValidationError, require_int
+from .errors import GraphValidationError, ParameterDomainError, require_int
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,21 @@ class LabeledGraph:
 
 
 @dataclass(frozen=True)
+class SpanningTree:
+    """Edge indices into a host graph's edge list: ints from 0 up, strictly ascending."""
+
+    edge_indices: tuple[int, ...]
+
+    def __post_init__(self):
+        idx = self.edge_indices
+        for i in idx:
+            if type(i) is not int or i < 0:  # one fast test; the int rule on a miss
+                require_int(i, 0, "edge index")
+        if not all(a < b for a, b in zip(idx, idx[1:])):
+            raise ParameterDomainError("edge indices must be sorted ascending")
+
+
+@dataclass(frozen=True)
 class IntegerMatrix:
     """Dense matrix of arbitrary-precision integers."""
 
@@ -109,9 +124,6 @@ class IntegerMatrix:
             for row in self.entries
         )
         return IntegerMatrix(self.rows, other.cols, prod)
-
-    def row_sums(self) -> list[int]:
-        return [sum(row) for row in self.entries]
 
 
 def build_jahangir(params: JahangirParams) -> LabeledGraph:
@@ -232,7 +244,7 @@ def dot_renderer(g: LabeledGraph):
     solid = [f"  v{u} -- v{v};\n" for u, v in g.edges]
     dashed: list[str] = []
 
-    def render(highlight_edges=None, name: str = "g") -> str:
+    def render(highlight_edges, name: str) -> str:
         lines = solid
         if highlight_edges is not None:
             if not dashed:

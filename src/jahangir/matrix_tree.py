@@ -99,20 +99,20 @@ def count_spanning_trees_det(g: LabeledGraph, deleted_vertex: int = 0) -> int:
     return _det_fraction_free(_laplacian_minor(g, deleted_vertex))
 
 
-def eigenvalue_product_estimate(g: LabeledGraph, guard: int = EIGEN_GUARD) -> float:
+def eigenvalue_product_estimate(g: LabeledGraph) -> float:
     """Floating-point spanning-tree count from Laplacian eigenvalues.
 
     Product of the |V| - 1 largest eigenvalues divided by |V|.  Only valid
     for connected graphs (a second zero eigenvalue would make the notion of
-    "the nonzero eigenvalues" unusable), and refused above the size guard to
-    keep the dense solve cheap.  Accuracy is far better than the documented
+    "the nonzero eigenvalues" unusable), and refused above EIGEN_GUARD vertices
+    to keep the dense solve cheap.  Accuracy is far better than the documented
     1e-6 relative target at these sizes.
     """
     import numpy as np
 
     nv = g.vertex_count
-    if nv > guard:
-        raise SizeGuardError(f"eigenvalue estimate limited to {guard} vertices (got {nv})")
+    if nv > EIGEN_GUARD:
+        raise SizeGuardError(f"eigenvalue estimate limited to {EIGEN_GUARD} vertices (got {nv})")
     if not is_connected(nv, g.edges):
         raise GraphValidationError("eigenvalue estimate requires a connected graph")
     lap = np.array(laplacian_matrix(g).entries, dtype=float)

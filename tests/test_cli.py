@@ -135,6 +135,16 @@ class TestCount:
             assert captured.out == ""
             assert reason in captured.err and captured.err.count("\n") == 1
 
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        import jahangir.cli as cli_mod
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "sigma_total", interrupt)
+        assert main(["count", "--n", "2", "--m", "4"]) == 130
+        assert capsys.readouterr().out == ""
+
     def test_enumerate_cap_exits_3(self, capsys):
         code = main(["count", "--n", "3", "--m", "16", "--method", "enumerate"])
         captured = capsys.readouterr()
@@ -526,6 +536,17 @@ class TestParsing:
         named = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
         _, _, *flags = COMMANDS[command]
         assert {option for option, _ in flags} <= named
+
+    def test_method_choices_are_the_engines(self):
+        import argparse
+
+        from jahangir.cli import ENGINES, build_parser
+
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in commands.choices["count"]._actions if a.dest == "method")
+        assert method.choices == [*ENGINES, "all"]
+        assert method.default == "combinatorial"
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -20,6 +20,7 @@ from jahangir import (
     NDirectionRatios,
     ParameterDomainError,
     RatioSeries,
+    SpanningTree,
     SpokeCombination,
     TreeCountBreakdown,
     census_j2m,
@@ -81,7 +82,7 @@ CALLS = [
                       "186.7037", "0.027585")),
     (decimal_truncate, dict(x=Fraction(-7, 3), places=2), "-2.33"),
     (decimal_round_half_even, dict(x=Fraction(-7, 3), places=2), "-2.33"),
-    (census_records, dict(params=JahangirParams(2, 3)), CENSUS_3),
+    (census_records, dict(m=3), CENSUS_3),
     (census_j2m, dict(m=3), CENSUS_3),
     (verify_census, dict(m=3),
      CensusReport(3, 9, 6, 7, False, True, ((0, 1, 2, 3, 4, 5),),
@@ -180,11 +181,16 @@ def test_structural_invariants_refuse(build, message):
     (lambda: LabeledGraph(3, ((1.0, 2),)), "endpoint must be an int (got float)"),
     (lambda: to_dot(TRIANGLE, {True}), "edge index must be an int (got bool)"),
     (lambda: to_dot(TRIANGLE, [0, 1.0]), "edge index must be an int (got float)"),
+    (lambda: SpanningTree((False, 1, 2, 3, 4, 6)), "edge index must be an int (got bool)"),
+    (lambda: SpanningTree((0.0, 1, 2, 3, 4, 6)), "edge index must be an int (got float)"),
+    (lambda: SpanningTree((-1, 0)), "edge index must be >= 0 (got -1)"),
 ], ids=["spoke-m-float", "spoke-m-str", "gap-k-bool", "gap-float", "breakdown-n-float",
         "spoke-index-float", "spoke-index-bool", "per-k-float", "total-float",
-        "endpoint-bool", "endpoint-float", "dot-index-bool", "dot-index-float"])
+        "endpoint-bool", "endpoint-float", "dot-index-bool", "dot-index-float",
+        "tree-index-bool", "tree-index-float", "tree-index-negative"])
 def test_derivation_fields_follow_the_int_rule(build, message):
     # a float m once gave a float gap, a str m a bare TypeError, a bool
-    # endpoint a vertex named vTrue, and a bool edge index highlighted edge 1
+    # endpoint a vertex named vTrue, a bool edge index highlighted edge 1, and
+    # a tree led by index False passed the verifier
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
         build()

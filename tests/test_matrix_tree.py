@@ -120,9 +120,10 @@ class TestEigenvalueEstimate:
         with pytest.raises(SizeGuardError, match="65"):
             eigenvalue_product_estimate(g)
 
-    def test_guard_is_adjustable(self):
+    def test_guard_is_adjustable(self, monkeypatch):
+        monkeypatch.setattr(matrix_tree, "EIGEN_GUARD", 65)
         g = build_jahangir(JahangirParams(8, 8))
-        est = eigenvalue_product_estimate(g, guard=65)
+        est = eigenvalue_product_estimate(g)
         assert round(est) == count_spanning_trees_det(g)
 
     def test_disconnected_refused(self, disconnected):
