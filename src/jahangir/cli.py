@@ -17,7 +17,10 @@ checks the limit and sizes a listing of J(n, m) from its parameters alone,
 and `enumerate` and `count --method enumerate|all` are refused by it before
 any graph is built or any output written; islice cuts it where that size
 binds.  Other commands render their whole text before writing any of it.
-COMMANDS declares each subcommand once; build_parser builds argparse from it.
+COMMANDS declares each subcommand once, and two readers read it.  _fast
+builds argparse's Namespace straight from it for a well-formed argv;
+build_parser builds the argparse parser that parses every other argv, so
+every usage error and every --help is argparse's own.
 ENGINES declares each count engine once, and `count --method` offers its names.
 
 Exit codes: 0 success, 2 parameter or validation problem, 3 enumeration cap
@@ -283,7 +286,8 @@ _ALLOW_HUGE = ("--allow-huge", dict(action="store_true",
                                     help="disable the enumeration cap of 10^7 trees"))
 
 # name: (handler, help line, *flags), a flag (option string, argparse keywords)
-# in the order _emit echoes them
+# in the order _emit echoes them; of the keywords, _fast reads type, required,
+# choices, default and action, which it knows only as "store_true"
 COMMANDS = {
     "count": (_cmd_count, "spanning-tree count of J(n, m)", _N, _M,
               _choice("--method", *ENGINES, "all"),
@@ -305,6 +309,47 @@ COMMANDS = {
 }
 
 
+def _fast(argv: list):
+    """The Namespace build_parser's parser returns for argv, items in the
+    order _emit echoes, where argv has the strict form [--timestamp] command
+    (--flag value | --switch)*: each flag at most once, no value starting
+    with "-", each type (int) called on its string as argparse calls it, each
+    choice checked and each required flag present.  None for any other argv."""
+    timestamp = argv[:1] == ["--timestamp"]
+    words = iter(argv[timestamp:])
+    command = next(words, None)
+    if command not in COMMANDS:
+        return None
+    handler, _, *flags = COMMANDS[command]
+    declared = dict(flags)
+    given = {}  # option string: its value string, or True for a switch
+    for option in words:
+        if option not in declared or option in given:
+            return None
+        # a missing value reads as "-", which is refused below
+        given[option] = declared[option].get("action") == "store_true" or next(words, "-")
+    parsed = {"timestamp": timestamp, "command": command}
+    for option, keywords in flags:
+        value = given.get(option)
+        if value is None:
+            if keywords.get("required"):
+                return None
+            switch = keywords.get("action") == "store_true"
+            value = keywords.get("default", False if switch else None)
+        elif value is not True:
+            if value.startswith("-"):
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        parsed[option.lstrip("-").replace("-", "_")] = value
+    return argparse.Namespace(**parsed, func=handler)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -324,10 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse already printed its message
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _fast(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse already printed its message
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except ValueError as exc:  # the package's parameter, graph and size refusals among them

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -60,8 +61,9 @@ class TestCount:
         from jahangir.cli import build_parser
 
         build_parser.cache_clear()
-        assert main(["coeffs", "--m", "3"]) == 0
-        assert main(["coeffs", "--m", "4"]) == 0
+        # "--m=3" is outside the strict form, so argparse parses it
+        assert main(["coeffs", "--m=3"]) == 0
+        assert main(["coeffs", "--m=4"]) == 0
         assert build_parser.cache_info().misses == 1
 
     def test_method_enumerate(self, capsys):
@@ -547,6 +549,34 @@ class TestParsing:
         method = next(a for a in commands.choices["count"]._actions if a.dest == "method")
         assert method.choices == [*ENGINES, "all"]
         assert method.default == "combinatorial"
+
+    def test_well_formed_argv_builds_no_parser(self, capsys):
+        from jahangir.cli import build_parser
+
+        build_parser.cache_clear()
+        assert main(["count", "--n", "2", "--m", "4"]) == 0
+        assert build_parser.cache_info().misses == 0
+
+    def test_every_pinned_argv_takes_the_fast_path(self):
+        # the benchmark's pinned queries: a COMMANDS edit that sends one back
+        # to argparse fails here
+        from jahangir.cli import _fast
+
+        digests = Path(__file__).resolve().parents[1] / "perfbench" / "seed_digests.json"
+        pinned = json.loads(digests.read_text())["digests"]
+        assert [key for key in pinned if _fast(key.split()) is None] == []
+
+    @pytest.mark.parametrize("argv", [["count", "--n", "2", "--m", "4", "--breakdown"],
+                                      ["coeffs", "--m", "2"]])
+    def test_console_script_and_tuple_argv_take_the_fast_path(self, capsys, monkeypatch, argv):
+        from jahangir.cli import build_parser
+
+        want = main(argv), capsys.readouterr()
+        build_parser.cache_clear()
+        monkeypatch.setattr(sys, "argv", ["jahangir", *argv])
+        assert (main(), capsys.readouterr()) == want
+        assert (main(tuple(argv)), capsys.readouterr()) == want
+        assert build_parser.cache_info().misses == 0
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -14,6 +14,8 @@ json.dumps(indent=2) over any document of the types it writes, and refuses
 every other type.  Every JSON command's output, streamed listings included,
 is checked byte for byte against json.dumps(indent=2) of the envelope built
 in one piece, and the DOT listing line by line against the trees it draws.
+The CLI's strict-form parser is checked against argparse over argv drawn
+from the command table and then mutated.
 """
 
 import json
@@ -49,7 +51,7 @@ from jahangir import (
     verify_spanning_tree,
 )
 from jahangir.asymptotics import decimal_round_half_even
-from jahangir.cli import _engine_versions, _json, main
+from jahangir.cli import COMMANDS, _engine_versions, _fast, _json, build_parser, main
 from jahangir.combinatorics import _coefficient, sigma_total
 from jahangir.cycles import _edge_set_is_simple_cycle
 from jahangir.enumeration import jahangir_tree_edge_indices, tree_edge_indices
@@ -566,3 +568,92 @@ def test_dot_listing_draws_each_tree_in_its_host(n, m, limit):
         assert [(int(e.group(1)), int(e.group(2))) for e in edges] == list(g.edges)
         solid = {i for i, e in enumerate(edges) if e.group(3) is None}
         assert solid == set(tree.edge_indices)
+
+
+OPTIONS = sorted({option for _, _, *flags in COMMANDS.values() for option, _ in flags})
+CHOICES = sorted({c for _, _, *flags in COMMANDS.values() for _, kw in flags
+                  for c in kw.get("choices", ())})
+# strings int() reads and ones it refuses, the empty one and "-" among them,
+# and every choice
+VALUES = st.one_of(st.integers(-3, 20).map(str), st.sampled_from(
+    ["0x10", "1_0", "-1_0", " 3", "3 ", "+3", "\u0663", "3.0", "", "-", *CHOICES]))
+# stray words: flags of any subcommand, a value, and words argparse reads at
+# the top level or not at all
+WORDS = st.one_of(st.sampled_from(OPTIONS), VALUES, st.sampled_from(
+    ["--timestamp", "-h", "--help", "--", "--bogus", "stray", *COMMANDS]))
+# each takes the words of a flag and its value (or of the command, after
+# any --timestamp) and gives the lists of words to put in their place
+MUTATIONS = {
+    "abbreviate": lambda draw, w: [[w[0][:draw(st.integers(0, len(w[0])))], *w[1:]]],
+    "join with =": lambda draw, w: [["=".join(w)]],
+    "repeat": lambda draw, w: [w, w[:1] + [draw(VALUES)] * (len(w) - 1)],
+    "swap the value": lambda draw, w: [[w[0], draw(VALUES)]],
+    "drop the value": lambda draw, w: [w[:1]],
+    "drop": lambda draw, w: [],
+    "put a word before": lambda draw, w: [[draw(WORDS)], w],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """(argv, mutated): an argv of the strict form drawn from COMMANDS (every
+    required flag, some others, in any order) and, when mutated, its words
+    changed up to three times as MUTATIONS do it."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    _, _, *flags = COMMANDS[command]
+    pairs = []
+    for option, keywords in flags:
+        if not keywords.get("required") and draw(st.booleans()):
+            continue
+        if keywords.get("action") == "store_true":
+            pairs.append([option])
+        elif "choices" in keywords:
+            pairs.append([option, draw(st.sampled_from(keywords["choices"]))])
+        else:
+            pairs.append([option, str(draw(st.integers(0, 10**6)))])
+    pairs = [["--timestamp"] * draw(st.booleans()) + [command], *draw(st.permutations(pairs))]
+    mutations = draw(st.lists(st.sampled_from(list(MUTATIONS)), max_size=3))
+    for how in mutations:
+        # a flag of the argv or, past its end, a flag of any subcommand
+        i = draw(st.integers(0, len(pairs)))
+        words = pairs[i] if i < len(pairs) else [draw(st.sampled_from(OPTIONS)), draw(VALUES)]
+        pairs[i:i + 1] = MUTATIONS[how](draw, words)
+    return [word for pair in pairs for word in pair], bool(mutations)
+
+
+def parsed_by_argparse(argv):
+    """build_parser's Namespace for argv, or None where argparse exits."""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_argv())
+@example((["count", "--meth", "all", "--n", "2", "--m", "4"], True))
+@example((["count", "--n=2", "--m", "4"], True))
+@example((["count", "--n", "2", "--m", "4", "--n", "3"], True))
+@example((["enumerate", "--n", "2", "--m", "3", "--limit", "-1"], True))
+@example((["count", "--n", "0x10", "--m", "4"], True))
+@example((["enumerate", "--n", "2", "--m", "3", "--limit", "-1_0"], True))
+@example((["graph", "--n", "2", "--m", "3", "--format", "csv"], True))
+@example((["count", "--n", "1_0", "--m", " 3"], True))
+@example((["count", "--n", "\u0663", "--m", "4"], True))
+@example((["table", "--n", "", "--m-max", "4"], True))
+@example((["count", "--n", "2", "--m", "4", "--bogus", "1"], True))
+@example((["count", "--n", "2", "--m", "4", "--limit", "3"], True))
+@example((["count", "--n", "2", "stray", "--m", "4"], True))
+@example((["count", "--timestamp", "--n", "2", "--m", "4"], True))
+@example((["count", "-h"], True))
+@example((["count", "--n", "2", "--m"], True))
+def test_fast_parse_is_argparse_or_none(case):
+    argv, mutated = case
+    fast = _fast(argv)
+    if not mutated:
+        assert fast is not None
+    if fast is not None:
+        parsed = parsed_by_argparse(argv)
+        assert parsed is not None
+        assert list(vars(fast).items()) == list(vars(parsed).items())
