@@ -42,6 +42,7 @@ class SpokeCombination:
     def __post_init__(self):
         require_int(self.m, 3, "m")
         require_int(self.k, 1, "k", self.m)
+        object.__setattr__(self, "indices", tuple(self.indices))
         if len(self.indices) != self.k:
             raise ParameterDomainError("index count does not match k")
         for i in self.indices:
@@ -59,6 +60,7 @@ class GapSignature:
 
     def __post_init__(self):
         require_int(self.k, 1, "k")
+        object.__setattr__(self, "gaps", tuple(self.gaps))
         if len(self.gaps) != self.k:
             raise ParameterDomainError("gap count does not match k")
         for g in self.gaps:
@@ -79,6 +81,7 @@ class TreeCountBreakdown:
     def __post_init__(self):
         require_int(self.n, 2, "n")
         require_int(self.m, 3, "m")
+        object.__setattr__(self, "per_k", tuple(self.per_k))
         if len(self.per_k) != self.m:
             raise ParameterDomainError("per_k must have one entry per k = 1..m")
         for count in self.per_k:

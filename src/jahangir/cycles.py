@@ -116,8 +116,6 @@ def find_simple_cycles(g: LabeledGraph) -> set[frozenset[int]]:
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    for lst in adj:
-        lst.sort()
 
     cycles: set[frozenset[int]] = set()
     path: list[int] = []

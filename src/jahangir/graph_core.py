@@ -5,12 +5,14 @@ vertex joined to m rim vertices spaced n apart.  The canonical labeling used
 everywhere in this package: vertex 0 is the center, rim vertices are 1..nm
 in cycle order, and spoke j (j = 1..m) joins 0 to rim vertex (j-1)*n + 1.
 Edges are listed rim first in cycle order, then spokes in j order, so edge
-indices are stable across runs.
+indices are stable across runs.  One grid writer lays out the four
+matrices, from each one's own cells; value types hold the tuples they checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import GraphValidationError, ParameterDomainError, require_int
 
@@ -84,11 +86,13 @@ class LabeledGraph:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Edge indices into a host graph's edge list: ints from 0 up, strictly ascending."""
+    """Edge indices into a host graph's edge list: ints from 0 up, strictly ascending,
+    held as the tuple that was checked."""
 
     edge_indices: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "edge_indices", tuple(self.edge_indices))
         idx = self.edge_indices
         for i in idx:
             if type(i) is not int or i < 0:  # one fast test; the int rule on a miss
@@ -99,30 +103,28 @@ class SpanningTree:
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Dense matrix of arbitrary-precision integers."""
+    """Dense integer matrix, held as the tuple of row tuples checked against its shape."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         if len(self.entries) != self.rows:
             raise ValueError("entry grid does not match declared row count")
         if any(len(row) != self.cols for row in self.entries):
             raise ValueError("entry grid does not match declared column count")
 
     def transpose(self) -> "IntegerMatrix":
-        flipped = tuple(zip(*self.entries)) if self.entries else ()
-        return IntegerMatrix(self.cols, self.rows, tuple(tuple(r) for r in flipped))
+        flipped = [[row[j] for row in self.entries] for j in range(self.cols)]
+        return IntegerMatrix(self.cols, self.rows, flipped)
 
     def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        bt = list(zip(*other.entries))
-        prod = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-            for row in self.entries
-        )
+        bt = other.transpose().entries
+        prod = [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
         return IntegerMatrix(self.rows, other.cols, prod)
 
 
@@ -155,34 +157,34 @@ def spoke_edge(params: JahangirParams, j: int) -> int:
     return params.n * params.m + j - 1
 
 
+def _grid(rows: int, cols: int, cells) -> IntegerMatrix:
+    """The rows x cols matrix holding each (row, column, value) cell, 0 elsewhere."""
+    grid = [[0] * cols for _ in range(rows)]
+    for i, j, x in cells:
+        grid[i][j] = x
+    return IntegerMatrix(rows, cols, grid)
+
+
+def _degree_cells(g: LabeledGraph):
+    return ((i, i, d) for i, d in enumerate(g.degrees()))
+
+
+def _edge_cells(g: LabeledGraph, x: int):
+    return ((i, j, x) for u, v in g.edges for i, j in ((u, v), (v, u)))
+
+
 def adjacency_matrix(g: LabeledGraph) -> IntegerMatrix:
     """Symmetric 0/1 matrix with zero diagonal."""
-    nv = g.vertex_count
-    a = [[0] * nv for _ in range(nv)]
-    for u, v in g.edges:
-        a[u][v] = 1
-        a[v][u] = 1
-    return IntegerMatrix(nv, nv, tuple(tuple(row) for row in a))
+    return _grid(g.vertex_count, g.vertex_count, _edge_cells(g, 1))
 
 
 def degree_matrix(g: LabeledGraph) -> IntegerMatrix:
-    nv = g.vertex_count
-    deg = g.degrees()
-    d = [[deg[i] if i == j else 0 for j in range(nv)] for i in range(nv)]
-    return IntegerMatrix(nv, nv, tuple(tuple(row) for row in d))
+    return _grid(g.vertex_count, g.vertex_count, _degree_cells(g))
 
 
 def laplacian_matrix(g: LabeledGraph) -> IntegerMatrix:
     """Degree matrix minus adjacency matrix; every row sums to zero."""
-    nv = g.vertex_count
-    deg = g.degrees()
-    lap = [[0] * nv for _ in range(nv)]
-    for i in range(nv):
-        lap[i][i] = deg[i]
-    for u, v in g.edges:
-        lap[u][v] = -1
-        lap[v][u] = -1
-    return IntegerMatrix(nv, nv, tuple(tuple(row) for row in lap))
+    return _grid(g.vertex_count, g.vertex_count, chain(_degree_cells(g), _edge_cells(g, -1)))
 
 
 def oriented_incidence_matrix(g: LabeledGraph) -> IntegerMatrix:
@@ -191,12 +193,8 @@ def oriented_incidence_matrix(g: LabeledGraph) -> IntegerMatrix:
     Laplacian identity L == M @ M^T; the lower-index-is-tail convention is
     fixed so output is reproducible.
     """
-    nv, ne = g.vertex_count, len(g.edges)
-    grid = [[0] * ne for _ in range(nv)]
-    for idx, (u, v) in enumerate(g.edges):
-        grid[u][idx] = 1    # lower index is the tail
-        grid[v][idx] = -1
-    return IntegerMatrix(nv, ne, tuple(tuple(row) for row in grid))
+    cells = ((w, j, x) for j, (u, v) in enumerate(g.edges) for w, x in ((u, 1), (v, -1)))
+    return _grid(g.vertex_count, len(g.edges), cells)
 
 
 def is_connected(vertex_count: int, edges: list[tuple[int, int]]) -> bool:

@@ -167,6 +167,22 @@ def test_structural_invariants_refuse(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, items", [
+    (SpanningTree, [0, 1]),
+    (lambda xs: SpokeCombination(4, 2, xs), [1, 2]),
+    (lambda xs: GapSignature(2, xs), [0, 2]),
+    (lambda xs: TreeCountBreakdown(2, 3, xs, 6), [1, 2, 3]),
+    (lambda xs: IntegerMatrix(1, 2, [xs]), [1, 2]),  # the list is a row
+], ids=["tree", "spokes", "gaps", "per-k", "matrix"])
+def test_value_types_hold_the_tuples_they_checked(build, items):
+    source = list(items)
+    value = build(source)
+    assert value == build(tuple(items))
+    hash(value)
+    source.reverse()
+    assert value == build(tuple(items))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: gap_transform(SpokeCombination(5.0, 2, (1, 2))), "m must be an int (got float)"),
     (lambda: SpokeCombination("5", 2, (1, 2)), "m must be an int (got str)"),

@@ -2,6 +2,7 @@ import pytest
 
 from jahangir import (
     GraphValidationError,
+    IntegerMatrix,
     JahangirParams,
     LabeledGraph,
     ParameterDomainError,
@@ -182,6 +183,18 @@ class TestMatrices:
         for g in corpus:
             m = oriented_incidence_matrix(g)
             assert m.matmul(m.transpose()) == laplacian_matrix(g)
+
+    def test_transpose_of_no_rows_keeps_the_columns(self):
+        assert IntegerMatrix(0, 3, ()).transpose() == IntegerMatrix(3, 0, ((), (), ()))
+
+    def test_matmul_over_an_empty_inner_dimension_is_zero(self):
+        product = IntegerMatrix(2, 0, ((), ())).matmul(IntegerMatrix(0, 3, ()))
+        assert product == IntegerMatrix(2, 3, ((0, 0, 0), (0, 0, 0)))
+
+    @pytest.mark.parametrize("m", [IntegerMatrix(0, 3, ()), IntegerMatrix(3, 0, ((), (), ()))],
+                             ids=["0x3", "3x0"])
+    def test_transpose_twice_is_identity_on_empty_shapes(self, m):
+        assert m.transpose().transpose() == m
 
 
 class TestConnectivityAndDot:

@@ -9,8 +9,9 @@ fallback against the generic enumerator.  The generic enumerator is checked
 tree by tree against a filter over all (|V| - 1)-edge subsets, on larger
 graphs and long rims against the determinant, and the structured
 enumerator against the generic one and, far along long arcs, against its
-definition.  The CLI's envelope writer is checked against
-json.dumps(indent=2) over any document of the types it writes, and refuses
+definition.  The Laplacian, degree, adjacency and incidence matrices of any
+small graph satisfy L = D - A = M M^T.  The CLI's envelope writer is checked
+against json.dumps(indent=2) over any document of the types it writes, and refuses
 every other type.  Every JSON command's output, streamed listings included,
 is checked byte for byte against json.dumps(indent=2) of the envelope built
 in one piece, and the DOT listing line by line against the trees it draws.
@@ -36,14 +37,18 @@ from jahangir import (
     LabeledGraph,
     ParameterDomainError,
     SpanningTree,
+    adjacency_matrix,
     build_jahangir,
     census_j2m,
     class_census,
     class_contribution,
     count_spanning_trees_det,
+    degree_matrix,
     enumerate_all,
     enumerate_jahangir,
     find_simple_cycles,
+    laplacian_matrix,
+    oriented_incidence_matrix,
     polynomial_coefficients,
     sigma,
     sigma_k,
@@ -226,6 +231,23 @@ def test_verified_subsets_count_the_determinant(g, deleted_vertex):
     subsets = map(SpanningTree, combinations(range(g.edge_count), g.vertex_count - 1))
     accepted = sum(verify_spanning_tree(g, t) for t in subsets)
     assert accepted == count_spanning_trees_det(g, deleted_vertex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_graph())
+@example(LabeledGraph(3, ()))
+def test_matrix_identities_hold_on_any_graph(g):
+    # L = D - A = M M^T, A symmetric with a zero diagonal, M oriented lower to higher
+    lap, deg, adj = laplacian_matrix(g), degree_matrix(g), adjacency_matrix(g)
+    assert lap.entries == tuple(tuple(d - a for d, a in zip(d_row, a_row))
+                                for d_row, a_row in zip(deg.entries, adj.entries))
+    inc = oriented_incidence_matrix(g)
+    assert lap == inc.matmul(inc.transpose())
+    assert adj == adj.transpose()
+    assert all(adj.entries[i][i] == 0 for i in range(g.vertex_count))
+    for j, (u, v) in enumerate(g.edges):
+        column = [row[j] for row in inc.entries]
+        assert (column[u], column[v], sum(map(abs, column))) == (1, -1, 2)
 
 
 def leibniz_det(a):

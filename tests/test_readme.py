@@ -1,10 +1,16 @@
 """The README's library quick tour runs, and every trailing comment on it that
-reads as a Python value is the value of the expression on its line."""
+reads as a Python value is the value of the expression on its line.  Each line
+of its CLI block runs through cli.main, exits 0 and prints."""
 
 import ast
 import re
+import shlex
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
+
+from jahangir.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +37,16 @@ def test_quick_tour_comments_hold():
         assert value == expected, line
         checked.append(expected)
     assert checked == [(32, 80, 64, 16), 192, (16, 20, 8, 1), Fraction(96, 25)]
+
+
+def test_cli_examples_run():
+    block = re.search(r"^```\n(jahangir .*?)^```", README.read_text(), re.M | re.S).group(1)
+    lines = block.splitlines()
+    for line in lines:
+        argv = shlex.split(line.partition("#")[0])
+        out = StringIO()
+        with redirect_stdout(out):
+            code = main(argv[1:])
+        assert (argv[0], code) == ("jahangir", 0), line
+        assert out.getvalue(), line
+    assert len(lines) == 12
