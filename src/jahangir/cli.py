@@ -83,16 +83,16 @@ def _emit(args, result, rows=None, render=None, labels: int = 0) -> int:
     and 3.11 run json's pure-Python encoder, where _json keeps its C one.
 
     The parameters echoed are the parsed arguments in declared order, less
-    --timestamp, --allow-huge, the command and its handler.  With rows,
-    result's last field must hold []: the rows are streamed in its place,
-    and their number is returned, else 0.  No list of all rows is built.
+    --timestamp, --allow-huge and the command.  With rows, result's last
+    field must hold []: the rows are streamed in its place, and their
+    number is returned, else 0.  No list of all rows is built.
     render(chunk, label) gives the text of a chunk of rows, label(i) the
     text of an int i in range(labels).
     """
     envelope = {
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items()
-                       if k not in ("timestamp", "command", "func", "allow_huge")},
+                       if k not in ("timestamp", "command", "allow_huge")},
         "result": result,
         "engine_versions": _engine_versions(),
     }
@@ -320,7 +320,7 @@ def _fast(argv: list):
     command = next(words, None)
     if command not in COMMANDS:
         return None
-    handler, _, *flags = COMMANDS[command]
+    flags = COMMANDS[command][2:]
     declared = dict(flags)
     given = {}  # option string: its value string, or True for a switch
     for option in words:
@@ -347,7 +347,7 @@ def _fast(argv: list):
             if "choices" in keywords and value not in keywords["choices"]:
                 return None
         parsed[option.lstrip("-").replace("-", "_")] = value
-    return argparse.Namespace(**parsed, func=handler)
+    return argparse.Namespace(**parsed)
 
 
 @cache
@@ -360,11 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timestamp", action="store_true",
                         help="add a UTC timestamp field to JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_line, *flags) in COMMANDS.items():
+    for name, (_, help_line, *flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for option, keywords in flags:
             p.add_argument(option, **keywords)
-        p.set_defaults(func=handler)
     return parser
 
 
@@ -377,7 +376,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse already printed its message
             return int(exc.code or 0)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except ValueError as exc:  # the package's parameter, graph and size refusals among them
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, prod
 
-from .errors import ParameterDomainError, require_int
+from .errors import ParameterDomainError, require_int, require_ints
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,9 @@ class SpokeCombination:
     def __post_init__(self):
         require_int(self.m, 3, "m")
         require_int(self.k, 1, "k", self.m)
-        object.__setattr__(self, "indices", tuple(self.indices))
+        object.__setattr__(self, "indices", require_ints(self.indices, 1, "index", self.m))
         if len(self.indices) != self.k:
             raise ParameterDomainError("index count does not match k")
-        for i in self.indices:
-            require_int(i, 1, "index", self.m)
         if list(self.indices) != sorted(set(self.indices)):
             raise ParameterDomainError("indices must be strictly increasing")
 
@@ -60,11 +58,9 @@ class GapSignature:
 
     def __post_init__(self):
         require_int(self.k, 1, "k")
-        object.__setattr__(self, "gaps", tuple(self.gaps))
+        object.__setattr__(self, "gaps", require_ints(self.gaps, 0, "gap"))
         if len(self.gaps) != self.k:
             raise ParameterDomainError("gap count does not match k")
-        for g in self.gaps:
-            require_int(g, 0, "gap")
         if list(self.gaps) != sorted(self.gaps):
             raise ParameterDomainError("gaps must be sorted ascending")
 
@@ -81,11 +77,9 @@ class TreeCountBreakdown:
     def __post_init__(self):
         require_int(self.n, 2, "n")
         require_int(self.m, 3, "m")
-        object.__setattr__(self, "per_k", tuple(self.per_k))
+        object.__setattr__(self, "per_k", require_ints(self.per_k, 0, "per_k entry"))
         if len(self.per_k) != self.m:
             raise ParameterDomainError("per_k must have one entry per k = 1..m")
-        for count in self.per_k:
-            require_int(count, 0, "per_k entry")
         require_int(self.total, 0, "total")
         if self.total != sum(self.per_k):
             raise ParameterDomainError("total does not equal the sum of per_k")

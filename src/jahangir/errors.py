@@ -1,5 +1,5 @@
 """Exception types shared across the package, and require_int: every integer
-argument passes or fails there."""
+argument, alone or in a sequence (require_ints), passes or fails there."""
 
 
 class ParameterDomainError(ValueError):
@@ -18,11 +18,20 @@ class EnumerationCapError(RuntimeError):
     """An enumeration would produce more trees than the configured cap."""
 
 
-def require_int(value, lo: int, name: str, hi: int | None = None):
-    """Refuse value unless it is an int, not a bool, in lo..hi (hi None: no cap)."""
+def require_int(value, lo: int | None, name: str, hi: int | None = None):
+    """Refuse value unless it is an int, not a bool, in lo..hi (lo None: any; hi None: no cap)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterDomainError(f"{name} must be an int (got {type(value).__name__})")
-    if hi is not None and not lo <= value <= hi:
+    if lo is not None and hi is not None and not lo <= value <= hi:
         raise ParameterDomainError(f"{name} {value} out of range {lo}..{hi}")
-    if value < lo:
+    if lo is not None and value < lo:
         raise ParameterDomainError(f"{name} must be >= {lo} (got {value})")
+
+
+def require_ints(values, lo: int | None, name: str, hi: int | None = None) -> tuple:
+    """tuple(values), each element refused as require_int(x, lo, name, hi) refuses it."""
+    values = tuple(values)
+    for x in values:  # one fast test; the int rule on a miss
+        if type(x) is not int or lo is not None and not (lo <= x and (hi is None or x <= hi)):
+            require_int(x, lo, name, hi)
+    return values

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import GraphValidationError, ParameterDomainError, require_int
+from .errors import GraphValidationError, ParameterDomainError, require_int, require_ints
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class LabeledGraph:
         for e in self.edges:
             u, v = e
             if not (type(u) is int is type(v)):  # one fast test; the int rule on a miss
-                for x in e:
-                    require_int(x, 0, "endpoint")
+                require_ints(e, 0, "endpoint")
             if u == v:
                 raise GraphValidationError(f"loop at vertex {u} is not allowed")
             if u > v:
@@ -92,11 +91,8 @@ class SpanningTree:
     edge_indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edge_indices", tuple(self.edge_indices))
-        idx = self.edge_indices
-        for i in idx:
-            if type(i) is not int or i < 0:  # one fast test; the int rule on a miss
-                require_int(i, 0, "edge index")
+        idx = require_ints(self.edge_indices, 0, "edge index")
+        object.__setattr__(self, "edge_indices", idx)
         if not all(a < b for a, b in zip(idx, idx[1:])):
             raise ParameterDomainError("edge indices must be sorted ascending")
 
@@ -110,7 +106,10 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+        require_int(self.rows, 0, "rows")
+        require_int(self.cols, 0, "cols")
+        entries = tuple(require_ints(row, None, "entry") for row in self.entries)
+        object.__setattr__(self, "entries", entries)
         if len(self.entries) != self.rows:
             raise ValueError("entry grid does not match declared row count")
         if any(len(row) != self.cols for row in self.entries):
@@ -144,8 +143,10 @@ def build_jahangir(params: JahangirParams) -> LabeledGraph:
 
 
 def rim_arc_edges(params: JahangirParams, j: int, arcs: int) -> list[int]:
-    """Sorted indices of the rim edges on `arcs` consecutive arcs, starting
-    at spoke j's rim vertex and going forward; arcs = m is the whole rim."""
+    """Sorted indices of the rim edges on `arcs` (1..m) consecutive arcs, starting
+    at spoke j's (1..m) rim vertex and going forward; arcs = m is the whole rim."""
+    require_int(j, 1, "j", params.m)
+    require_int(arcs, 1, "arcs", params.m)
     nm = params.n * params.m
     start = (j - 1) * params.n  # the edge leaving rim vertex (j-1)*n + 1
     end = start + arcs * params.n  # past nm, the arc wraps round to edge 0
@@ -154,6 +155,7 @@ def rim_arc_edges(params: JahangirParams, j: int, arcs: int) -> list[int]:
 
 def spoke_edge(params: JahangirParams, j: int) -> int:
     """Edge index of spoke j (1..m)."""
+    require_int(j, 1, "j", params.m)
     return params.n * params.m + j - 1
 
 
@@ -261,10 +263,8 @@ def to_dot(g: LabeledGraph, highlight_edges=None, name: str = "g") -> str:
     once), when given, are drawn dashed: a spanning tree inside its host graph.
     A non-int index fails the int rule; one outside 0..|E| - 1 raises IndexError."""
     if highlight_edges is not None:
-        highlight_edges = tuple(highlight_edges)
+        highlight_edges = require_ints(highlight_edges, None, "edge index")
         for i in highlight_edges:
-            if type(i) is not int:  # one fast test; the int rule on a miss
-                require_int(i, 0, "edge index")
             if not 0 <= i < len(g.edges):
                 raise IndexError(f"edge index {i} out of range 0..{len(g.edges) - 1}")
     return dot_renderer(g)(highlight_edges, name)

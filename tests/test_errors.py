@@ -44,6 +44,7 @@ from jahangir import (
 from jahangir.asymptotics import RatioEntry
 from jahangir.combinatorics import gap_transform, sigma_total
 from jahangir.cycles import census_records
+from jahangir.graph_core import rim_arc_edges, spoke_edge
 
 try:
     import numpy as np
@@ -51,6 +52,7 @@ except ImportError:  # numpy is an optional extra
     np = None
 
 TRIANGLE = LabeledGraph(3, ((0, 1), (1, 2), (0, 2)))
+J23 = JahangirParams(2, 3)  # edges 0..8, spokes 1..3
 # census_j2m(3) as (spoke_span, edge_indices), k = 1, 2, 3; simple below k = 3
 CENSUS_3 = [CycleRecord(span, 2 * (len(span) + 1), edges, len(span) < 3) for span, edges in [
     ((1,), (0, 1, 6, 7)), ((2,), (2, 3, 7, 8)), ((3,), (4, 5, 6, 8)),
@@ -141,7 +143,11 @@ def test_counts_refuse_what_once_gave_a_wrong_count():
     (lambda: LabeledGraph(0, ()), "vertex_count must be >= 1 (got 0)"),
     (lambda: decimal_truncate(Fraction(1), -1), "places must be >= 0 (got -1)"),
     (lambda: ratio_series(2, 5, places=-1), "places must be >= 0 (got -1)"),
-], ids=["below", "above", "sigma_k", "class_census", "vertex_count", "truncate", "series"])
+    (lambda: spoke_edge(J23, 0), "j 0 out of range 1..3"),
+    (lambda: spoke_edge(J23, 4), "j 4 out of range 1..3"),
+    (lambda: rim_arc_edges(J23, 1, 4), "arcs 4 out of range 1..3"),
+], ids=["below", "above", "sigma_k", "class_census", "vertex_count", "truncate", "series",
+        "spoke-j-0", "spoke-j-4", "rim-arcs-4"])
 def test_bounds_are_refused_with_the_bound(call_with, message):
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
         call_with()
@@ -200,13 +206,22 @@ def test_value_types_hold_the_tuples_they_checked(build, items):
     (lambda: SpanningTree((False, 1, 2, 3, 4, 6)), "edge index must be an int (got bool)"),
     (lambda: SpanningTree((0.0, 1, 2, 3, 4, 6)), "edge index must be an int (got float)"),
     (lambda: SpanningTree((-1, 0)), "edge index must be >= 0 (got -1)"),
+    (lambda: IntegerMatrix(True, 1, [[1]]), "rows must be an int (got bool)"),
+    (lambda: IntegerMatrix(1, 1.0, [[1]]), "cols must be an int (got float)"),
+    (lambda: IntegerMatrix(1, 1, [[1.5]]), "entry must be an int (got float)"),
+    (lambda: IntegerMatrix(1, 2, [[0, True]]), "entry must be an int (got bool)"),
+    (lambda: spoke_edge(J23, True), "j must be an int (got bool)"),
+    (lambda: rim_arc_edges(J23, 2.0, 1), "j must be an int (got float)"),
 ], ids=["spoke-m-float", "spoke-m-str", "gap-k-bool", "gap-float", "breakdown-n-float",
         "spoke-index-float", "spoke-index-bool", "per-k-float", "total-float",
         "endpoint-bool", "endpoint-float", "dot-index-bool", "dot-index-float",
-        "tree-index-bool", "tree-index-float", "tree-index-negative"])
+        "tree-index-bool", "tree-index-float", "tree-index-negative",
+        "matrix-rows-bool", "matrix-cols-float", "matrix-entry-float", "matrix-entry-bool",
+        "spoke-j-bool", "rim-j-float"])
 def test_derivation_fields_follow_the_int_rule(build, message):
     # a float m once gave a float gap, a str m a bare TypeError, a bool
-    # endpoint a vertex named vTrue, a bool edge index highlighted edge 1, and
-    # a tree led by index False passed the verifier
+    # endpoint a vertex named vTrue, a bool edge index highlighted edge 1, a
+    # tree led by index False passed the verifier, a matrix of True rows
+    # equalled one of 1 row, and spoke True was edge 6
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
         build()

@@ -16,13 +16,16 @@ every other type.  Every JSON command's output, streamed listings included,
 is checked byte for byte against json.dumps(indent=2) of the envelope built
 in one piece, and the DOT listing line by line against the trees it draws.
 The CLI's strict-form parser is checked against argparse over argv drawn
-from the command table and then mutated.
+from the command table and then mutated.  The sequence int rule,
+require_ints, is checked against the scalar one, require_int, element by
+element.
 """
 
 import json
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from fractions import Fraction
 from io import StringIO
 from itertools import combinations, islice, permutations, product
@@ -60,6 +63,7 @@ from jahangir.cli import COMMANDS, _engine_versions, _fast, _json, build_parser,
 from jahangir.combinatorics import _coefficient, sigma_total
 from jahangir.cycles import _edge_set_is_simple_cycle
 from jahangir.enumeration import jahangir_tree_edge_indices, tree_edge_indices
+from jahangir.errors import require_int, require_ints
 from jahangir.graph_core import cycle_order, rim_arc_edges, spoke_edge
 from jahangir.matrix_tree import _det_fraction_free, _laplacian_minor
 
@@ -679,3 +683,43 @@ def test_fast_parse_is_argparse_or_none(case):
         parsed = parsed_by_argparse(argv)
         assert parsed is not None
         assert list(vars(fast).items()) == list(vars(parsed).items())
+
+
+class Level(IntEnum):  # an int subclass: the int rule takes it, the fast test misses it
+    LOW = -1
+    HIGH = 4
+
+
+INT_RULE_ITEMS = st.one_of(st.integers(-4, 6), st.booleans(), st.sampled_from(list(Level)),
+                           st.floats(-4, 6, allow_nan=False), st.sampled_from([None, "3"]))
+
+
+def first_refusal(values, lo, hi):
+    """The message of the first element require_int refuses, or None."""
+    for x in values:
+        try:
+            require_int(x, lo, "item", hi)
+        except ParameterDomainError as exc:
+            return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(INT_RULE_ITEMS, max_size=6), st.none() | st.integers(-3, 5),
+       st.none() | st.integers(-3, 5))
+@example([Level.LOW], 0, None)
+@example([Level.HIGH], 0, 3)
+@example([Level.LOW, 2.0], None, None)
+@example([3, True], 0, None)
+@example([5], 1, 4)
+@example([2], 3, 1)
+def test_require_ints_is_require_int_on_each_element(values, lo, hi):
+    expected = first_refusal(values, lo, hi)
+    if expected is None:
+        checked = require_ints(iter(values), lo, "item", hi)  # any iterable, read once
+        assert type(checked) is tuple and len(checked) == len(values)
+        assert all(a is b for a, b in zip(checked, values))
+    else:
+        with pytest.raises(ParameterDomainError) as refused:
+            require_ints(iter(values), lo, "item", hi)
+        assert str(refused.value) == expected
