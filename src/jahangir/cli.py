@@ -18,9 +18,12 @@ and `enumerate` and `count --method enumerate|all` are refused by it before
 any graph is built or any output written; islice cuts it where that size
 binds.  Other commands render their whole text before writing any of it.
 COMMANDS declares each subcommand once, and two readers read it.  _fast
-builds argparse's Namespace straight from it for a well-formed argv;
-build_parser builds the argparse parser that parses every other argv, so
-every usage error and every --help is argparse's own.
+builds a SimpleNamespace with the items of argparse's Namespace straight
+from it for a well-formed argv; build_parser imports argparse and builds the
+parser that parses every other argv, so every usage error and every --help
+is argparse's own.  The engine versions come from sys.version and numpy's
+metadata on sys.path, so a strict-form command imports neither argparse,
+platform nor importlib.metadata, and datetime only for --timestamp.
 ENGINES declares each count engine once, and `count --method` offers its names.
 
 Exit codes: 0 success, 2 parameter or validation problem, 3 enumeration cap
@@ -30,14 +33,13 @@ length differs from the count announced before it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from datetime import datetime, timezone
+from contextlib import suppress
 from functools import cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _string  # C, where CPython has it
-from platform import python_version
+from types import SimpleNamespace
 
 from . import __version__
 from .asymptotics import ratio_series
@@ -49,15 +51,31 @@ from .graph_core import JahangirParams, build_jahangir, dot_renderer, to_dot
 from .matrix_tree import count_spanning_trees_det
 
 
+def _numpy_version() -> str | None:
+    # the Version line of the first numpy-*.dist-info (or .egg-info) on
+    # sys.path, where importlib.metadata's path finder reads it: importing
+    # numpy, or that module, costs more than a JSON command
+    for entry in sys.path:
+        try:
+            children = os.listdir(entry or ".")
+        except OSError:  # a missing directory or a zip file
+            continue
+        for child in children:
+            stem, _, kind = child.lower().rpartition(".")
+            if kind in ("dist-info", "egg-info") and stem.partition("-")[0] == "numpy":
+                for name in ("METADATA", "PKG-INFO"):
+                    with suppress(OSError), open(os.path.join(entry, child, name),
+                                                 encoding="utf-8") as f:
+                        return next((line[8:].strip() for line in f
+                                     if line.startswith("Version:")), None)
+    return "not installed"  # numpy is an optional extra
+
+
 @cache
 def _engine_versions() -> dict:
-    # from numpy's metadata, as importing numpy costs more than a JSON command
-    from importlib import metadata
-    try:
-        numpy = metadata.version("numpy")
-    except metadata.PackageNotFoundError:  # numpy is an optional extra
-        numpy = "not installed"
-    return {"jahangir": __version__, "python": python_version(), "numpy": numpy}
+    # Python's version is the first word of sys.version, as platform reads it
+    return {"jahangir": __version__, "python": sys.version.split()[0],
+            "numpy": _numpy_version()}
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -97,6 +115,8 @@ def _emit(args, result, rows=None, render=None, labels: int = 0) -> int:
         "engine_versions": _engine_versions(),
     }
     if args.timestamp:
+        from datetime import datetime, timezone
+
         envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
     text = _json(envelope)
     if rows is None:
@@ -310,11 +330,12 @@ COMMANDS = {
 
 
 def _fast(argv: list):
-    """The Namespace build_parser's parser returns for argv, items in the
-    order _emit echoes, where argv has the strict form [--timestamp] command
-    (--flag value | --switch)*: each flag at most once, no value starting
-    with "-", each type (int) called on its string as argparse calls it, each
-    choice checked and each required flag present.  None for any other argv."""
+    """A SimpleNamespace with the items, in the order _emit echoes, of the
+    Namespace build_parser's parser returns for argv, where argv has the
+    strict form [--timestamp] command (--flag value | --switch)*: each flag
+    at most once, no value starting with "-", each type (int) called on its
+    string as argparse calls it, each choice checked and each required flag
+    present.  None for any other argv."""
     timestamp = argv[:1] == ["--timestamp"]
     words = iter(argv[timestamp:])
     command = next(words, None)
@@ -347,11 +368,13 @@ def _fast(argv: list):
             if "choices" in keywords and value not in keywords["choices"]:
                 return None
         parsed[option.lstrip("-").replace("-", "_")] = value
-    return argparse.Namespace(**parsed)
+    return SimpleNamespace(**parsed)
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="jahangir",
         description="Spanning-tree counting, enumeration, and growth analysis "

@@ -42,8 +42,8 @@ class LabeledGraph:
     """Simple undirected graph: a vertex count and an ordered edge list.
 
     Edges are stored as (u, v) with u < v.  The constructor normalizes
-    orientation and rejects loops, duplicates, out-of-range endpoints, and
-    endpoints that are not ints (a bool among them).
+    orientation and rejects edges that are not pairs, loops, duplicates,
+    out-of-range endpoints, and endpoints that are not ints (a bool among them).
     """
 
     vertex_count: int
@@ -54,7 +54,10 @@ class LabeledGraph:
         normalized = []
         seen = set()
         for e in self.edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise GraphValidationError(f"edge {e!r} is not a pair of endpoints") from None
             if not (type(u) is int is type(v)):  # one fast test; the int rule on a miss
                 require_ints(e, 0, "endpoint")
             if u == v:

@@ -591,17 +591,28 @@ class TestParsing:
         assert set(payload) == {"command", "parameters", "result", "engine_versions"}
         assert set(payload["engine_versions"]) == {"jahangir", "python", "numpy"}
 
-    def test_numpy_metadata_absent(self, capsys, monkeypatch):
-        # numpy is an optional extra: with no metadata to read, every JSON
-        # command still answers, with a placeholder for its version
+    def test_engine_versions_are_platform_and_metadata_ones(self):
+        # the sys.version and sys.path reads stand in for platform and
+        # importlib.metadata, and must give what they give
+        import platform
         from importlib import metadata
 
+        import jahangir
+        from jahangir.cli import _engine_versions
+
+        try:
+            numpy = metadata.version("numpy")
+        except metadata.PackageNotFoundError:
+            numpy = "not installed"
+        assert _engine_versions() == {"jahangir": jahangir.__version__,
+                                      "python": platform.python_version(), "numpy": numpy}
+
+    def test_numpy_metadata_absent(self, capsys, monkeypatch, tmp_path):
+        # numpy is an optional extra: with no metadata to read, every JSON
+        # command still answers, with a placeholder for its version
         import jahangir.cli as cli_mod
 
-        def not_installed(name):
-            raise metadata.PackageNotFoundError(name)
-
-        monkeypatch.setattr(metadata, "version", not_installed)
+        monkeypatch.setattr(sys, "path", [str(tmp_path)])
         cli_mod._engine_versions.cache_clear()
         try:
             for argv in (["count", "--n", "2", "--m", "3"],
@@ -609,5 +620,24 @@ class TestParsing:
                 code, payload = run_json(capsys, argv)
                 assert code == 0
                 assert payload["engine_versions"]["numpy"] == "not installed"
+        finally:  # later tests read the real metadata again
+            cli_mod._engine_versions.cache_clear()
+
+    @pytest.mark.parametrize("info, file", [("numpy-9.9.9.dist-info", "METADATA"),
+                                            ("NumPy-9.9.9-py3.egg-info", "PKG-INFO")])
+    def test_numpy_version_from_the_first_metadata_on_sys_path(self, monkeypatch, tmp_path,
+                                                                 info, file):
+        # ahead of any installed numpy, after an entry that is no directory
+        from importlib import metadata
+
+        import jahangir.cli as cli_mod
+
+        (tmp_path / info).mkdir()
+        (tmp_path / info / file).write_text("Metadata-Version: 2.1\nName: numpy\n"
+                                            "Version: 9.9.9\n")
+        monkeypatch.setattr(sys, "path", [str(tmp_path / "absent"), str(tmp_path), *sys.path])
+        cli_mod._engine_versions.cache_clear()
+        try:
+            assert cli_mod._engine_versions()["numpy"] == metadata.version("numpy") == "9.9.9"
         finally:  # later tests read the real metadata again
             cli_mod._engine_versions.cache_clear()

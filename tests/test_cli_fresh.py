@@ -1,6 +1,6 @@
 """The CLI run in fresh interpreters: `count --method all`, the listing
-admission and its refusals, two streamed listings in bounded memory, and a
-CLI that never imports numpy.
+admission and its refusals, two streamed listings in bounded memory, a
+CLI that never imports numpy, and a `count` that imports only what it runs.
 
 Each check runs in a fresh interpreter of its own (this file run as a
 script, with the check's name as its argument), which starts the CLI
@@ -92,6 +92,23 @@ def check_cli_imports_no_numpy():
     assert "numpy" not in sys.modules
 
 
+def check_count_imports_only_what_it_runs():
+    # the strict-form count reads no metadata machinery, platform, datetime
+    # or argparse; --timestamp and a non-strict argv load theirs when run
+    from jahangir.cli import build_parser, main
+
+    unused = ("importlib.metadata", "platform", "datetime", "argparse")
+    with redirect_stdout(io.StringIO()):
+        assert main(["count", "--n", "2", "--m", "4"]) == 0
+    print(sorted(name for name in unused if name in sys.modules))
+    assert not any(name in sys.modules for name in unused)
+    with redirect_stdout(io.StringIO()):
+        assert main(["--timestamp", "count", "--n", "2", "--m", "4"]) == 0
+        assert build_parser.cache_info().misses == 0
+        assert main(["count", "--n=2", "--m", "4"]) == 0
+    assert build_parser.cache_info().misses == 1 and "argparse" in sys.modules
+
+
 def in_fresh_interpreter(check):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, os.path.abspath(__file__), check.__name__],
@@ -110,6 +127,10 @@ def test_streamed_listings_in_bounded_memory():
 
 def test_cli_imports_no_numpy():
     in_fresh_interpreter(check_cli_imports_no_numpy)
+
+
+def test_count_imports_only_what_it_runs():
+    in_fresh_interpreter(check_count_imports_only_what_it_runs)
 
 
 if __name__ == "__main__":

@@ -52,6 +52,14 @@ class TestLabeledGraphValidation:
         with pytest.raises(GraphValidationError, match="outside"):
             LabeledGraph(3, ((0, 3),))
 
+    @pytest.mark.parametrize("edges", [((0, 1, 2),), ((0,),), (5,)],
+                             ids=["triple", "single", "int"])
+    def test_edge_not_a_pair_rejected(self, edges):
+        # each message names the edge, where the unpack's own names none
+        with pytest.raises(GraphValidationError) as excinfo:
+            LabeledGraph(3, edges)
+        assert str(excinfo.value) == f"edge {edges[0]!r} is not a pair of endpoints"
+
     def test_edges_normalized_low_high(self):
         g = LabeledGraph(3, ((2, 0), (1, 0)))
         assert g.edges == ((0, 2), (0, 1))

@@ -1,7 +1,7 @@
 """The three derivations of the count stay independent: the spoke-subset
 closed forms (combinatorics), the matrix tree theorem (matrix_tree) and the
 explicit listing (enumeration) import none of one another, only the shared
-graph layer and error types."""
+graph layer and error types.  Every name the package exports resolves."""
 
 import ast
 from pathlib import Path
@@ -32,3 +32,14 @@ def test_engine_imports_no_other_engine(engine):
 
 def test_enumeration_imports_graph_core_only():
     assert package_imports("enumeration") == {"graph_core"}
+
+
+def test_all_is_unique():
+    assert len(set(jahangir.__all__)) == len(jahangir.__all__)
+
+
+@pytest.mark.parametrize("name", jahangir.__all__)
+def test_exported_name_imports(name):
+    namespace = {}
+    exec(f"from jahangir import {name}", namespace)
+    assert namespace[name] is getattr(jahangir, name)
