@@ -3,9 +3,11 @@
 a(n, m) = sigma(n, m+1) / sigma(n, m) is kept as an exact Fraction; decimal
 strings are rendering only.  A ratio series reads its totals from one pass
 of the recurrence in combinatorics.sigma_table; every other total is one
-combinatorics.sigma_total.  The m-direction ratios appear to converge to a
-constant per n (estimated with a bracket, never asserted as a limit); the
-n-direction ratios decrease toward 1.
+combinatorics.sigma_total.  A ratio series rounds its decimals in ints,
+through the helper decimal_round_half_even also calls, from each ratio's
+numerator and denominator and one 10**places per series.  The m-direction
+ratios appear to converge to a constant per n (estimated with a bracket,
+never asserted as a limit); the n-direction ratios decrease toward 1.
 """
 
 from __future__ import annotations
@@ -28,10 +30,15 @@ def decimal_truncate(x: Fraction, places: int) -> str:
 def decimal_round_half_even(x: Fraction, places: int) -> str:
     """Decimal string of x rounded to `places` digits, ties to even."""
     require_int(places, 0, "places")
-    if x < 0:
-        return "-" + decimal_round_half_even(-x, places)
-    q, r = divmod(x.numerator * 10**places, x.denominator)
-    if 2 * r > x.denominator or (2 * r == x.denominator and q % 2 == 1):
+    num, den = x.numerator, x.denominator
+    sign = "-" if num < 0 else ""
+    return sign + _round_half_even(abs(num), den, 10**places, places)
+
+
+def _round_half_even(num: int, den: int, scale: int, places: int) -> str:
+    # num / den >= 0 at `places` digits, ties to even; scale is 10**places
+    q, r = divmod(num * scale, den)
+    if 2 * r > den or (2 * r == den and q & 1):
         q += 1
     return _place_point(q, places)
 
@@ -109,10 +116,12 @@ def ratio_series(n: int, m_max: int, places: int = 9) -> RatioSeries:
     require_int(m_max, 4, "m_max")
     require_int(places, 0, "places")
     rows = sigma_table(n, m_max)
+    scale = 10**places
     entries = []
     for (m, before), (_, after) in zip(rows, rows[1:]):
         r = Fraction(after, before)
-        entries.append(RatioEntry(m, r, decimal_round_half_even(r, places)))
+        entries.append(RatioEntry(m, r, _round_half_even(r.numerator, r.denominator,
+                                                         scale, places)))
     return RatioSeries(n, tuple(entries))
 
 

@@ -7,16 +7,21 @@ is deterministic; an optional timestamp field is off by default.  One
 writer, _json, gives every envelope the json module's indent=2 bytes with
 its C string encoder: given an indent, CPython 3.10/3.11 encode in Python.
 
+The engine_versions member is the same in every envelope of a process, so
+it is rendered once and spliced in after the result.  Five commands write
+rows, through one row path, _write_rows, with one render per row shape.
 Three listings stream: the trees of `enumerate`, the edges of `graph` and
 the records of `cycles` are written in chunks as they are produced, inside
-an envelope rendered once, byte-identical to the whole.  `enumerate
+an envelope rendered once, byte-identical to the whole.  The rows of
+`table` and `ratios` are collected and written with their envelope in one
+piece, so a refusal raised while rendering them writes nothing.  `enumerate
 --format dot` draws each tree with one DOT renderer built once per graph.
 
 The tree cap and --limit live here, not in the lazy enumerators: _planned
 checks the limit and sizes a listing of J(n, m) from its parameters alone,
 and `enumerate` and `count --method enumerate|all` are refused by it before
 any graph is built or any output written; islice cuts it where that size
-binds.  Other commands render their whole text before writing any of it.
+binds.  Other commands render their whole text and write it at once.
 COMMANDS declares each subcommand once, and two readers read it.  _fast
 builds a SimpleNamespace with the items of argparse's Namespace straight
 from it for a well-formed argv; build_parser imports argparse and builds the
@@ -37,7 +42,7 @@ import os
 import sys
 from contextlib import suppress
 from functools import cache
-from itertools import islice
+from itertools import islice, starmap
 from json.encoder import encode_basestring_ascii as _string  # C, where CPython has it
 from types import SimpleNamespace
 
@@ -71,11 +76,16 @@ def _numpy_version() -> str | None:
     return "not installed"  # numpy is an optional extra
 
 
-@cache
 def _engine_versions() -> dict:
     # Python's version is the first word of sys.version, as platform reads it
     return {"jahangir": __version__, "python": sys.version.split()[0],
             "numpy": _numpy_version()}
+
+
+@cache
+def _versions_member() -> str:
+    # the same in every envelope of the process, so rendered once
+    return ',\n  "engine_versions": ' + _json(_engine_versions(), "\n  ")
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -96,37 +106,43 @@ def _json(value, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
-def _emit(args, result, rows=None, render=None, labels: int = 0) -> int:
-    """Print the envelope as _json writes it: given an indent, CPython 3.10
+def _emit(args, result, rows=None, render=None, labels: int = 0, collect: bool = False) -> int:
+    """Write the envelope as _json writes it: given an indent, CPython 3.10
     and 3.11 run json's pure-Python encoder, where _json keeps its C one.
 
-    The parameters echoed are the parsed arguments in declared order, less
-    --timestamp, --allow-huge and the command.  With rows, result's last
-    field must hold []: the rows are streamed in its place, and their
-    number is returned, else 0.  No list of all rows is built.
+    _json renders the command, the parameters and the result; the
+    engine_versions member, rendered once per process, follows them, and
+    --timestamp follows it.  The parameters echoed are the parsed arguments
+    in declared order, less --timestamp, --allow-huge and the command.
+    Without rows the envelope goes out in one write, and 0 is returned.
+    With rows, result's last field must hold []: the rows are rendered in
+    its place, and their number is returned.  They are streamed, with no
+    list of all rows built, or with collect written with the envelope in
+    one piece, so a refusal raised while rendering them writes nothing.
     render(chunk, label) gives the text of a chunk of rows, label(i) the
     text of an int i in range(labels).
     """
-    envelope = {
-        "command": args.command,
-        "parameters": {k: v for k, v in vars(args).items()
-                       if k not in ("timestamp", "command", "allow_huge")},
-        "result": result,
-        "engine_versions": _engine_versions(),
-    }
+    # [:-2] drops the closing "\n}", which follows the members added below
+    text = _json({"command": args.command,
+                  "parameters": {k: v for k, v in vars(args).items()
+                                 if k not in ("timestamp", "command", "allow_huge")},
+                  "result": result})[:-2] + _versions_member()
     if args.timestamp:
         from datetime import datetime, timezone
 
-        envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = _json(envelope)
+        text += ',\n  "timestamp": ' + _string(datetime.now(timezone.utc).isoformat())
+    text += "\n}\n"
     if rows is None:
-        print(text)
+        sys.stdout.write(text)
         return 0
     head, key, tail = text.partition(f'"{next(reversed(result))}": []')
-    write = sys.stdout.write
+    pieces = []
+    write = pieces.append if collect else sys.stdout.write
     write(head + key[:-1])
     written = _write_rows(write, rows, render, labels)
-    write(("\n    ]" if written else "]") + tail + "\n")
+    write(("\n    ]" if written else "]") + tail)
+    if collect:
+        sys.stdout.write("".join(pieces))
     return written
 
 
@@ -162,6 +178,17 @@ def _cycle_record_rows(chunk, label) -> str:
         ",\n          ".join(map(label, r.spoke_span)), r.length,
         ",\n          ".join(map(label, r.edge_indices)),
         "true" if r.is_simple_cycle else "false") for r in chunk])
+
+
+def _filled(template: str):
+    # a render of rows that are tuples of the values template takes, in
+    # order: ints and strings of digits, "." and ",", none needing an escape
+    return lambda chunk, label: ",".join(starmap(template.format, chunk))
+
+
+_table_rows = _filled('\n      {{\n        "m": {},\n        "sigma": "{}"\n      }}')
+_ratio_rows = _filled('\n      {{\n        "m": {},\n        "ratio": "{}/{}",'
+                      '\n        "decimal": "{}"\n      }}')
 
 
 TREE_CAP = 10_000_000
@@ -269,20 +296,22 @@ def _cmd_cycles(args) -> int:
 def _cmd_table(args) -> int:
     rows = sigma_table(args.n, args.m_max)
     if args.format == "csv":
-        print("\n".join(["m,sigma", *[f"{m},{total}" for m, total in rows]]))
+        sys.stdout.write("".join(["m,sigma\n", *[f"{m},{total}\n" for m, total in rows]]))
         return 0
-    result = {"n": args.n, "m_max": args.m_max,
-              "rows": [{"m": m, "sigma": str(total)} for m, total in rows]}
-    return _emit(args, result)
+    result = {"n": args.n, "m_max": args.m_max, "rows": []}
+    _emit(args, result, rows, _table_rows, collect=True)
+    return 0
 
 
 def _cmd_ratios(args) -> int:
-    entries = [{"m": e.m, "ratio": f"{e.ratio.numerator}/{e.ratio.denominator}",
-                "decimal": e.decimal.replace(".", ",") if args.decimal_comma else e.decimal}
-               for e in ratio_series(args.n, args.m_max, places=args.precision).entries]
+    comma = args.decimal_comma
+    rows = ((e.m, e.ratio.numerator, e.ratio.denominator,
+             e.decimal.replace(".", ",") if comma else e.decimal)
+            for e in ratio_series(args.n, args.m_max, places=args.precision).entries)
     result = {"n": args.n, "m_max": args.m_max, "precision": args.precision,
-              "entries": entries}
-    return _emit(args, result)
+              "entries": []}
+    _emit(args, result, rows, _ratio_rows, collect=True)
+    return 0
 
 
 def _cmd_graph(args) -> int:

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from jahangir import (
     ParameterDomainError,
@@ -13,6 +16,12 @@ from jahangir import (
     ratio_series,
     sigma_table,
 )
+
+
+def _point_by_hand(negative: bool, scaled: int, places: int) -> str:
+    # the sign is x's, so -1/1000 at two places reads -0.00
+    whole, fraction = divmod(scaled, 10**places)
+    return ("-" if negative else "") + str(whole) + (f".{fraction:0{places}d}" if places else "")
 
 
 class TestDecimalRendering:
@@ -41,6 +50,18 @@ class TestDecimalRendering:
             step = Fraction(1, 10**places)
             assert 0 <= x - t < step
             assert abs(x - r) <= step / 2
+
+    @given(st.integers(), st.integers(min_value=1), st.integers(0, 40))
+    @example(1, 8, 2)  # a tie, to the even digit: 0.12
+    @example(-5, 2, 0)  # a tie below zero: -2
+    @example(-1, 1000, 2)  # below zero, rounded to zero: -0.00
+    def test_rendering_matches_the_stdlib(self, a, b, places):
+        # Fraction's own round(x, places) rounds half to even, exactly
+        x = Fraction(a, b)
+        rounded = abs(int(round(x, places) * 10**places))
+        truncated = abs(math.trunc(x * 10**places))
+        assert decimal_round_half_even(x, places) == _point_by_hand(a < 0, rounded, places)
+        assert decimal_truncate(x, places) == _point_by_hand(a < 0, truncated, places)
 
     def test_negative_places_rejected(self):
         with pytest.raises(ValueError):

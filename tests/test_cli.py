@@ -480,6 +480,29 @@ class TestTableAndRatios:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter prints ints of any length")
+    @pytest.mark.parametrize("argv", [
+        # the row of m = 617 is refused inside its template: its ratio's
+        # numerator has 641 digits, its denominator 640
+        ["ratios", "--n", "9", "--m-max", "700", "--precision", "0"],
+        ["ratios", "--n", "2", "--m-max", "10", "--precision", "700"],
+        ["table", "--n", "9", "--m-max", "700", "--format", "json"],
+        ["count", "--n", "9", "--m", "700", "--breakdown"],
+    ], ids=["ratio-row", "ratio-decimal", "table-row", "count-per-k"])
+    def test_refused_while_rendering_writes_nothing(self, capsys, argv):
+        # the rows of table and ratios are rendered whole before any is written
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_ratios_first_entry(self, capsys):
         code, payload = run_json(capsys, ["ratios", "--n", "2", "--m-max", "5",
                                           "--precision", "2"])
@@ -613,7 +636,7 @@ class TestParsing:
         import jahangir.cli as cli_mod
 
         monkeypatch.setattr(sys, "path", [str(tmp_path)])
-        cli_mod._engine_versions.cache_clear()
+        cli_mod._versions_member.cache_clear()
         try:
             for argv in (["count", "--n", "2", "--m", "3"],
                          ["graph", "--n", "2", "--m", "3", "--format", "json"]):
@@ -621,7 +644,7 @@ class TestParsing:
                 assert code == 0
                 assert payload["engine_versions"]["numpy"] == "not installed"
         finally:  # later tests read the real metadata again
-            cli_mod._engine_versions.cache_clear()
+            cli_mod._versions_member.cache_clear()
 
     @pytest.mark.parametrize("info, file", [("numpy-9.9.9.dist-info", "METADATA"),
                                             ("NumPy-9.9.9-py3.egg-info", "PKG-INFO")])
@@ -636,8 +659,9 @@ class TestParsing:
         (tmp_path / info / file).write_text("Metadata-Version: 2.1\nName: numpy\n"
                                             "Version: 9.9.9\n")
         monkeypatch.setattr(sys, "path", [str(tmp_path / "absent"), str(tmp_path), *sys.path])
-        cli_mod._engine_versions.cache_clear()
+        cli_mod._versions_member.cache_clear()
         try:
             assert cli_mod._engine_versions()["numpy"] == metadata.version("numpy") == "9.9.9"
+            assert '"numpy": "9.9.9"' in cli_mod._versions_member()
         finally:  # later tests read the real metadata again
-            cli_mod._engine_versions.cache_clear()
+            cli_mod._versions_member.cache_clear()
