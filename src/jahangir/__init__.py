@@ -1,4 +1,9 @@
-"""Exact spanning-tree counting and enumeration for Jahangir graphs."""
+"""Exact spanning-tree counting and enumeration for Jahangir graphs.
+
+The names this module imports are the public API; __all__ lists them.
+"""
+
+from types import ModuleType as _ModuleType
 
 from .asymptotics import (
     ConjectureReport,
@@ -49,50 +54,6 @@ from .matrix_tree import count_spanning_trees_det, eigenvalue_product_estimate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CensusReport",
-    "ConjectureReport",
-    "CycleRecord",
-    "DeltaEstimate",
-    "EnumerationCapError",
-    "GapSignature",
-    "GraphValidationError",
-    "IntegerMatrix",
-    "JahangirParams",
-    "LabeledGraph",
-    "NDirectionRatios",
-    "ParameterDomainError",
-    "RatioSeries",
-    "SizeGuardError",
-    "SpanningTree",
-    "SpokeCombination",
-    "TreeCountBreakdown",
-    "adjacency_matrix",
-    "build_jahangir",
-    "census_j2m",
-    "class_census",
-    "class_contribution",
-    "conjecture_report",
-    "count_spanning_trees_det",
-    "decimal_round_half_even",
-    "decimal_truncate",
-    "degree_matrix",
-    "delta_estimate",
-    "eigenvalue_product_estimate",
-    "enumerate_all",
-    "enumerate_jahangir",
-    "find_simple_cycles",
-    "gap_transform",
-    "laplacian_matrix",
-    "n_direction_ratios",
-    "oriented_incidence_matrix",
-    "polynomial_coefficients",
-    "ratio",
-    "ratio_series",
-    "sigma",
-    "sigma_k",
-    "sigma_table",
-    "to_dot",
-    "verify_census",
-    "verify_spanning_tree",
-]
+# the relative imports above bind each submodule too; those are not API
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

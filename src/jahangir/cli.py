@@ -141,8 +141,7 @@ def _emit(args, result, rows=None, render=None, labels: int = 0, collect: bool =
     write(head + key[:-1])
     written = _write_rows(write, rows, render, labels)
     write(("\n    ]" if written else "]") + tail)
-    if collect:
-        sys.stdout.write("".join(pieces))
+    sys.stdout.write("".join(pieces))  # empty when the rows were streamed
     return written
 
 
@@ -384,8 +383,7 @@ def _fast(argv: list):
         if value is None:
             if keywords.get("required"):
                 return None
-            switch = keywords.get("action") == "store_true"
-            value = keywords.get("default", False if switch else None)
+            value = keywords.get("default", False)  # every optional flag but a switch declares one
         elif value is not True:
             if value.startswith("-"):
                 return None

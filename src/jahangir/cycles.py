@@ -118,12 +118,10 @@ def find_simple_cycles(g: LabeledGraph) -> set[frozenset[int]]:
         adj[v].append(u)
 
     cycles: set[frozenset[int]] = set()
-    path: list[int] = []
-    on_path: set[int] = set()
 
     def extend(s: int, v: int):
         for w in adj[v]:
-            if w == s and len(path) >= 3 and path[1] < path[-1]:
+            if w == s and path[1] < path[-1]:
                 cyc = [index[(path[i], path[i + 1])] for i in range(len(path) - 1)]
                 cyc.append(index[(path[-1], s)])
                 cycles.add(frozenset(cyc))

@@ -49,7 +49,6 @@ def _det_fraction_free(a: list[list[int]]) -> int:
             lead = row_r[col]
             for c in range(col + 1, n):
                 row_r[c] = (row_r[c] * pivot_val - lead * row_c[c]) // prev
-            row_r[col] = 0
         prev = pivot_val
     return sign * a[n - 1][n - 1]
 

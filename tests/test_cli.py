@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -271,6 +271,19 @@ class TestEnumerate:
         payload = json.loads(captured.out)
         assert payload["result"]["count"] == 50
         assert len(payload["result"]["trees"]) == 49
+
+    def test_long_listing_exits_4(self, capsys, monkeypatch):
+        # with no limit given, nothing cuts a listing at its announced count:
+        # one tree too many is reported as well
+        import jahangir.cli as cli_mod
+
+        real = cli_mod.jahangir_tree_edge_indices
+        monkeypatch.setattr(cli_mod, "jahangir_tree_edge_indices",
+                            lambda *a, **kw: chain(real(*a, **kw), islice(real(*a, **kw), 1)))
+        code = main(["enumerate", "--n", "2", "--m", "3"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == "error: listed 51 trees, announced 50\n"
 
     def test_listing_memory_flat_in_tree_count(self):
         class Discard:
@@ -606,8 +619,12 @@ class TestParsing:
         capsys.readouterr()
 
     def test_missing_required_flag(self, capsys):
+        # the strict-form reader passes it on, and argparse refuses it
+        from jahangir.cli import _fast
+
+        assert _fast(["count", "--n", "2"]) is None
         assert main(["count", "--n", "2"]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("usage: jahangir count")
 
     def test_envelope_shape(self, capsys):
         code, payload = run_json(capsys, ["count", "--n", "2", "--m", "3"])

@@ -75,6 +75,11 @@ class TestEnumerateAll:
             enumerate_all(disconnected)
         assert (record[0].filename, record[0].lineno) == (__file__, line)
 
+    def test_connected_is_silent(self, four_cycle):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(list(enumerate_all(four_cycle))) == 4
+
     def test_disconnected_edge_indices_are_empty_and_silent(self):
         # two separate edges, three isolated vertices, a triangle and two isolated vertices
         for g in (LabeledGraph(4, ((0, 1), (2, 3))), LabeledGraph(3, ()),
@@ -223,6 +228,10 @@ def test_producers_yield_strictly_ascending_indices():
 class TestVerifier:
     def test_rejects_wrong_size(self, four_cycle):
         assert not verify_spanning_tree(four_cycle, SpanningTree((0, 1)))
+
+    def test_rejects_too_many_edges(self, triangle):
+        # connected, but with |V| edges: no tree
+        assert not verify_spanning_tree(triangle, SpanningTree((0, 1, 2)))
 
     def test_rejects_cycle(self, k4):
         # edges (0,1), (0,2), (1,2) close a triangle

@@ -146,8 +146,14 @@ def test_counts_refuse_what_once_gave_a_wrong_count():
     (lambda: spoke_edge(J23, 0), "j 0 out of range 1..3"),
     (lambda: spoke_edge(J23, 4), "j 4 out of range 1..3"),
     (lambda: rim_arc_edges(J23, 1, 4), "arcs 4 out of range 1..3"),
+    (lambda: TreeCountBreakdown(2, 2, (4, 1), 5), "m must be >= 3 (got 2)"),
+    # two bad arguments: the first checked is the one named
+    (lambda: ratio_series(1, 3), "n must be >= 2 (got 1)"),
+    (lambda: n_direction_ratios(2, 2), "m must be >= 3 (got 2)"),
+    (lambda: delta_estimate(1, 5), "n must be >= 2 (got 1)"),
 ], ids=["below", "above", "sigma_k", "class_census", "vertex_count", "truncate", "series",
-        "spoke-j-0", "spoke-j-4", "rim-arcs-4"])
+        "spoke-j-0", "spoke-j-4", "rim-arcs-4", "breakdown-m", "series-order",
+        "n-direction-order", "delta-order"])
 def test_bounds_are_refused_with_the_bound(call_with, message):
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
         call_with()

@@ -52,6 +52,11 @@ class TestLabeledGraphValidation:
         with pytest.raises(GraphValidationError, match="outside"):
             LabeledGraph(3, ((0, 3),))
 
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(GraphValidationError) as excinfo:
+            LabeledGraph(3, ((-1, 2),))
+        assert str(excinfo.value) == "edge (-1, 2) has an endpoint outside 0..2"
+
     @pytest.mark.parametrize("edges", [((0, 1, 2),), ((0,),), (5,)],
                              ids=["triple", "single", "int"])
     def test_edge_not_a_pair_rejected(self, edges):

@@ -661,6 +661,7 @@ def parsed_by_argparse(argv):
 @example((["count", "--meth", "all", "--n", "2", "--m", "4"], True))
 @example((["count", "--n=2", "--m", "4"], True))
 @example((["count", "--n", "2", "--m", "4", "--n", "3"], True))
+@example((["count", "--n", "x", "--n", "2", "--m", "4"], True))
 @example((["enumerate", "--n", "2", "--m", "3", "--limit", "-1"], True))
 @example((["count", "--n", "0x10", "--m", "4"], True))
 @example((["enumerate", "--n", "2", "--m", "3", "--limit", "-1_0"], True))
