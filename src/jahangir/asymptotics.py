@@ -6,8 +6,8 @@ of the recurrence in combinatorics.sigma_table; every other total is one
 combinatorics.sigma_total.  A ratio series rounds its decimals in ints,
 through the helper decimal_round_half_even also calls, from each ratio's
 numerator and denominator and one 10**places per series.  The m-direction
-ratios appear to converge to a constant per n (estimated with a bracket,
-never asserted as a limit); the n-direction ratios decrease toward 1.
+ratios fall to a constant per n from above (estimated with a bracket that
+lies above it); the n-direction ratios decrease toward 1.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def n_direction_ratios(m: int, n_max: int) -> NDirectionRatios:
 def delta_estimate(n: int, m_used: int = 20, places: int = 12) -> DeltaEstimate:
     """a(n, m_used) as the point estimate, bracketed by the previous ratio.
 
-    The bracket is ordered min..max of a(n, m_used - 1) and a(n, m_used);
-    its width is reported, not assumed, to shrink as m_used grows.
+    a(n, m) falls to delta(n) = (n + 2 + sqrt(n^2 + 4n)) / 2 from above, so the
+    bracket (a(n, m_used), a(n, m_used - 1)) lies above it: the point is an upper bound.
     """
     require_int(n, 2, "n")
     require_int(m_used, 6, "m_used")

@@ -9,13 +9,13 @@ its C string encoder: given an indent, CPython 3.10/3.11 encode in Python.
 
 The engine_versions member is the same in every envelope of a process, so
 it is rendered once and spliced in after the result.  Five commands write
-rows, through one row path, _write_rows, with one render per row shape.
-Three listings stream: the trees of `enumerate`, the edges of `graph` and
-the records of `cycles` are written in chunks as they are produced, inside
-an envelope rendered once, byte-identical to the whole.  The rows of
-`table` and `ratios` are collected and written with their envelope in one
-piece, so a refusal raised while rendering them writes nothing.  `enumerate
---format dot` draws each tree with one DOT renderer built once per graph.
+rows, through one row path, _write_rows, with one render per row shape,
+in chunks inside an envelope rendered once, byte-identical to the whole.
+Three listings stream the trees of `enumerate`, the edges of `graph` and
+the records of `cycles` as they are produced.  `table` and `ratios` turn
+each count into its string before the first byte is written, so CPython's
+refusal of a too-long int string writes nothing.  `enumerate --format dot`
+draws each tree with one DOT renderer built once per graph.
 
 The tree cap and --limit live here, not in the lazy enumerators: _planned
 checks the limit and sizes a listing of J(n, m) from its parameters alone,
@@ -106,7 +106,7 @@ def _json(value, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
-def _emit(args, result, rows=None, render=None, labels: int = 0, collect: bool = False) -> int:
+def _emit(args, result, rows=None, render=None, labels: int = 0) -> int:
     """Write the envelope as _json writes it: given an indent, CPython 3.10
     and 3.11 run json's pure-Python encoder, where _json keeps its C one.
 
@@ -116,9 +116,7 @@ def _emit(args, result, rows=None, render=None, labels: int = 0, collect: bool =
     in declared order, less --timestamp, --allow-huge and the command.
     Without rows the envelope goes out in one write, and 0 is returned.
     With rows, result's last field must hold []: the rows are rendered in
-    its place, and their number is returned.  They are streamed, with no
-    list of all rows built, or with collect written with the envelope in
-    one piece, so a refusal raised while rendering them writes nothing.
+    its place, in chunks as they are drawn, and their number is returned.
     render(chunk, label) gives the text of a chunk of rows, label(i) the
     text of an int i in range(labels).
     """
@@ -136,26 +134,23 @@ def _emit(args, result, rows=None, render=None, labels: int = 0, collect: bool =
         sys.stdout.write(text)
         return 0
     head, key, tail = text.partition(f'"{next(reversed(result))}": []')
-    pieces = []
-    write = pieces.append if collect else sys.stdout.write
-    write(head + key[:-1])
-    written = _write_rows(write, rows, render, labels)
-    write(("\n    ]" if written else "]") + tail)
-    sys.stdout.write("".join(pieces))  # empty when the rows were streamed
-    return written
+    return _write_rows(sys.stdout.write, head + key[:-1], rows, render, labels, tail)
 
 
 _ROWS_PER_WRITE = 256
 
 
-def _write_rows(write, rows, render, labels: int) -> int:
-    # the ints are rendered once, so a list of them costs one join
+def _write_rows(write, head: str, rows, render, labels: int, tail: str) -> int:
+    # ints are rendered once, so a list of them costs one join; the head goes
+    # out with the first chunk, so rows that fill one chunk take two writes
     label = [str(i) for i in range(labels)].__getitem__
     rows = iter(rows)
-    written = 0
+    sep, written = head, 0
     while chunk := list(islice(rows, _ROWS_PER_WRITE)):
-        write(("," if written else "") + render(chunk, label))
+        write(sep + render(chunk, label))
+        sep = ","
         written += len(chunk)
+    write(("\n    ]" if written else head + "]") + tail)
     return written
 
 
@@ -298,24 +293,21 @@ def _cmd_table(args) -> int:
         sys.stdout.write("".join(["m,sigma\n", *[f"{m},{total}\n" for m, total in rows]]))
         return 0
     result = {"n": args.n, "m_max": args.m_max, "rows": []}
-    _emit(args, result, rows, _table_rows, collect=True)
+    _emit(args, result, [(m, str(total)) for m, total in rows], _table_rows)
     return 0
 
 
 def _cmd_ratios(args) -> int:
-    comma = args.decimal_comma
-    rows = ((e.m, e.ratio.numerator, e.ratio.denominator,
-             e.decimal.replace(".", ",") if comma else e.decimal)
-            for e in ratio_series(args.n, args.m_max, places=args.precision).entries)
-    result = {"n": args.n, "m_max": args.m_max, "precision": args.precision,
-              "entries": []}
-    _emit(args, result, rows, _ratio_rows, collect=True)
+    rows = [(e.m, str(e.ratio.numerator), str(e.ratio.denominator),
+             e.decimal.replace(".", ",") if args.decimal_comma else e.decimal)
+            for e in ratio_series(args.n, args.m_max, places=args.precision).entries]
+    result = {"n": args.n, "m_max": args.m_max, "precision": args.precision, "entries": []}
+    _emit(args, result, rows, _ratio_rows)
     return 0
 
 
 def _cmd_graph(args) -> int:
-    params = JahangirParams(args.n, args.m)
-    g = build_jahangir(params)
+    g = build_jahangir(JahangirParams(args.n, args.m))
     if args.format == "dot":
         sys.stdout.write(to_dot(g, name=f"jahangir_{args.n}_{args.m}"))
         return 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, prod
 
-from .errors import ParameterDomainError, require_int, require_ints
+from .errors import ParameterDomainError, require_int, require_ints, trusted
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def gap_transform(b: SpokeCombination) -> GapSignature:
     and the next chosen one going around the cycle; the k gaps sum to m - k.
     Rotating the combination leaves the result unchanged.
     """
-    return GapSignature(b.k, tuple(sorted(_gaps(b.indices, b.m))))
+    return trusted(GapSignature, b.k, tuple(sorted(_gaps(b.indices, b.m))))
 
 
 def class_census(m: int, k: int) -> list[tuple[GapSignature, int]]:
@@ -115,7 +115,7 @@ def class_census(m: int, k: int) -> list[tuple[GapSignature, int]]:
     for combo in combinations(range(1, m + 1), k):
         sig = tuple(sorted(_gaps(combo, m)))
         counts[sig] = counts.get(sig, 0) + 1
-    return [(GapSignature(k, gaps), mult) for gaps, mult in sorted(counts.items())]
+    return [(trusted(GapSignature, k, gaps), mult) for gaps, mult in sorted(counts.items())]
 
 
 def class_contribution(n: int, sig: GapSignature) -> int:
@@ -141,7 +141,7 @@ def sigma(n: int, m: int) -> TreeCountBreakdown:
     """Spanning-tree count of J(n, m) with its per-k breakdown."""
     require_int(n, 2, "n")
     per_k = tuple(n ** k * a for k, a in enumerate(polynomial_coefficients(m), 1))
-    return TreeCountBreakdown(n, m, per_k, sum(per_k))
+    return trusted(TreeCountBreakdown, n, m, per_k, sum(per_k))
 
 
 def polynomial_coefficients(m: int) -> tuple[int, ...]:

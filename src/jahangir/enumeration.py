@@ -19,27 +19,24 @@ Two independent producers of strictly ascending edge-index tuples:
   is spliced from runs of the rim, with no set and no sort.
 
 Both are generators over validated input.  enumerate_all and
-enumerate_jahangir wrap each tuple in a graph_core.SpanningTree, skipping
-its checks (int indices from 0 up, ascending); the CLI draws the
-tuples, sliced with islice.  None counts the trees it is about to list; the
-CLI, which drains them, caps a listing up front.
+enumerate_jahangir wrap each tuple in a graph_core.SpanningTree through
+_tree, errors.trusted taken from graph_core, skipping its checks; the CLI
+draws the tuples, sliced with islice.  None counts the trees it is about to
+list; the CLI, which drains them, caps a listing up front.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from itertools import product
 from typing import Iterator
 
-from .graph_core import JahangirParams, LabeledGraph, SpanningTree, is_connected, spoke_edge
+from .graph_core import (JahangirParams, LabeledGraph, SpanningTree, is_connected, spoke_edge,
+                         trusted)
 
-
-def _tree(edge_indices: tuple[int, ...]) -> SpanningTree:
-    # the producers' constructor: their tuples hold strictly ascending ints
-    # from 0 up by construction, so the checks in __post_init__ are skipped
-    tree = object.__new__(SpanningTree)
-    object.__setattr__(tree, "edge_indices", edge_indices)
-    return tree
+# the producers' tuples hold strictly ascending ints from 0 up by construction
+_tree = partial(trusted, SpanningTree)
 
 
 def verify_spanning_tree(g: LabeledGraph, tree: SpanningTree) -> bool:

@@ -6,7 +6,8 @@ everywhere in this package: vertex 0 is the center, rim vertices are 1..nm
 in cycle order, and spoke j (j = 1..m) joins 0 to rim vertex (j-1)*n + 1.
 Edges are listed rim first in cycle order, then spokes in j order, so edge
 indices are stable across runs.  One grid writer lays out the four
-matrices, from each one's own cells; value types hold the tuples they checked.
+matrices, from each one's own cells.  Value types hold the tuples they
+checked; the graph and the matrices built here are made by errors.trusted.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import GraphValidationError, ParameterDomainError, require_int, require_ints
+from .errors import (GraphValidationError, ParameterDomainError, require_int, require_ints,
+                     trusted)
 
 
 @dataclass(frozen=True)
@@ -51,28 +53,25 @@ class LabeledGraph:
 
     def __post_init__(self):
         require_int(self.vertex_count, 1, "vertex_count")
-        normalized = []
-        seen = set()
+        seen = {}  # the normalized edges, in order
         for e in self.edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
                 raise GraphValidationError(f"edge {e!r} is not a pair of endpoints") from None
-            if not (type(u) is int is type(v)):  # one fast test; the int rule on a miss
-                require_ints(e, 0, "endpoint")
+            require_int(u, None, "endpoint")
+            require_int(v, None, "endpoint")
             if u == v:
                 raise GraphValidationError(f"loop at vertex {u} is not allowed")
             if u > v:
                 u, v = v, u
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise GraphValidationError(
-                    f"edge {e} has an endpoint outside 0..{self.vertex_count - 1}"
-                )
+            if u < 0 or v >= self.vertex_count:
+                raise GraphValidationError(f"edge {e} has an endpoint outside "
+                                           f"0..{self.vertex_count - 1}")
             if (u, v) in seen:
                 raise GraphValidationError(f"duplicate edge {{{u}, {v}}}")
-            seen.add((u, v))
-            normalized.append((u, v))
-        object.__setattr__(self, "edges", tuple(normalized))
+            seen[u, v] = None
+        object.__setattr__(self, "edges", tuple(seen))
 
     @property
     def edge_count(self) -> int:
@@ -119,15 +118,17 @@ class IntegerMatrix:
             raise ValueError("entry grid does not match declared column count")
 
     def transpose(self) -> "IntegerMatrix":
-        flipped = [[row[j] for row in self.entries] for j in range(self.cols)]
-        return IntegerMatrix(self.cols, self.rows, flipped)
+        # with no rows, zip gives no columns: each of the cols rows is empty
+        return trusted(IntegerMatrix, self.cols, self.rows,
+                       tuple(zip(*self.entries)) or ((),) * self.cols)
 
     def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         bt = other.transpose().entries
-        prod = [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
-        return IntegerMatrix(self.rows, other.cols, prod)
+        prod = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+                     for row in self.entries)
+        return trusted(IntegerMatrix, self.rows, other.cols, prod)
 
 
 def build_jahangir(params: JahangirParams) -> LabeledGraph:
@@ -142,7 +143,7 @@ def build_jahangir(params: JahangirParams) -> LabeledGraph:
     edges.append((1, nm))
     for j in range(1, m + 1):
         edges.append((0, (j - 1) * n + 1))
-    return LabeledGraph(nm + 1, tuple(edges))
+    return trusted(LabeledGraph, nm + 1, tuple(edges))
 
 
 def rim_arc_edges(params: JahangirParams, j: int, arcs: int) -> list[int]:
@@ -167,7 +168,7 @@ def _grid(rows: int, cols: int, cells) -> IntegerMatrix:
     grid = [[0] * cols for _ in range(rows)]
     for i, j, x in cells:
         grid[i][j] = x
-    return IntegerMatrix(rows, cols, grid)
+    return trusted(IntegerMatrix, rows, cols, tuple(map(tuple, grid)))
 
 
 def _degree_cells(g: LabeledGraph):
@@ -220,24 +221,25 @@ def is_connected(vertex_count: int, edges: list[tuple[int, int]]) -> bool:
 
 
 def cycle_order(vertex_count: int, edges: list[tuple[int, int]]) -> list[int] | None:
-    """The vertices the edges touch, in cycle order, when the edges form one
-    simple cycle through all of them; None otherwise."""
-    nbrs: list[list[int]] = [[] for _ in range(vertex_count)]
+    """The vertices the edges touch, in cycle order from edges[0], when the edges
+    form one simple cycle through all of them; None otherwise."""
+    deg = [0] * vertex_count
+    link = [0] * vertex_count  # the XOR of each vertex's neighbours
     for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    touched = [x for x in range(vertex_count) if nbrs[x]]
+        deg[u] += 1
+        deg[v] += 1
+        link[u] ^= v
+        link[v] ^= u
+    touched = vertex_count - deg.count(0)
     # a simple cycle has 3 or more vertices; a repeated edge is no 2-cycle
-    if len(touched) < 3 or any(len(nbrs[x]) != 2 for x in touched):
+    if touched < 3 or deg.count(2) != touched:
         return None
-    start = touched[0]
-    order = [start]
-    prev, cur = start, nbrs[start][0]
-    while cur != start:
+    prev, cur = edges[0]
+    order = [prev]
+    while cur != order[0]:  # with two neighbours, either one names the other
         order.append(cur)
-        a, b = nbrs[cur]
-        prev, cur = cur, (b if a == prev else a)
-    return order if len(order) == len(touched) else None
+        prev, cur = cur, link[cur] ^ prev
+    return order if len(order) == touched else None
 
 
 def dot_renderer(g: LabeledGraph):

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from jahangir import JahangirParams, LabeledGraph, build_jahangir
+
+# Hypothesis draws the same examples on every run, so a run that passes or
+# fails does so again
+settings.register_profile("default", derandomize=True)
 
 
 @pytest.fixture

@@ -165,6 +165,15 @@ class TestDeltaEstimate:
         est3 = delta_estimate(3)
         assert est3.value.startswith("4.791287")
 
+    @given(st.integers(2, 39), st.integers(3, 79))
+    def test_ratio_falls_to_delta_from_above(self, n, m):
+        # a(n, m) = s1 / s0 falls, and stays above delta(n), the larger root of
+        # x^2 - (n + 2) x + 1, exactly when 2 s1 - (n + 2) s0 > sqrt(n^2 + 4n) s0
+        (_, s0), (_, s1), (_, s2) = sigma_table(n, m + 2)[-3:]
+        assert s1 * s1 > s0 * s2
+        gap = 2 * s1 - (n + 2) * s0
+        assert gap > 0 and gap * gap > (n * n + 4 * n) * s0 * s0
+
     def test_domain(self):
         with pytest.raises(ParameterDomainError):
             delta_estimate(2, m_used=5)

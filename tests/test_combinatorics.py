@@ -7,6 +7,7 @@ from jahangir import (
     GapSignature,
     ParameterDomainError,
     SpokeCombination,
+    TreeCountBreakdown,
     class_census,
     class_contribution,
     gap_transform,
@@ -169,6 +170,29 @@ class TestContributionsAndSigma:
             sigma(1, 4)
         with pytest.raises(ParameterDomainError):
             sigma(2, 2)
+
+
+def assert_same(built, checked):
+    assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
+
+
+class TestBuiltValuesEqualTheirCheckedRebuild:
+    # sigma, gap_transform and class_census skip their value types' checks, so
+    # each must hold what the public constructor would
+    def test_sigma(self):
+        for n in range(2, 6):
+            for m in range(3, 12):
+                b = sigma(n, m)
+                assert_same(b, TreeCountBreakdown(b.n, b.m, b.per_k, b.total))
+
+    def test_census_and_gap_transform(self):
+        for m in range(3, 9):
+            for k in range(1, m + 1):
+                for sig, _ in class_census(m, k):
+                    assert_same(sig, GapSignature(sig.k, sig.gaps))
+                for combo in combinations(range(1, m + 1), k):
+                    sig = gap_transform(SpokeCombination(m, k, combo))
+                    assert_same(sig, GapSignature(sig.k, sig.gaps))
 
 
 class TestPolynomialCoefficients:

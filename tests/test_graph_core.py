@@ -209,6 +209,19 @@ class TestMatrices:
     def test_transpose_twice_is_identity_on_empty_shapes(self, m):
         assert m.transpose().transpose() == m
 
+    def test_built_matrices_equal_their_checked_rebuild(self, corpus):
+        # the grid writer, transpose and matmul skip IntegerMatrix's checks, so
+        # each must hold what they would: a tuple of int tuples of its shape
+        built = [IntegerMatrix(0, 3, ()), IntegerMatrix(3, 0, ((), (), ())),
+                 IntegerMatrix(2, 0, ((), ())).matmul(IntegerMatrix(0, 3, ()))]
+        for g in corpus:
+            m = oriented_incidence_matrix(g)
+            built += [adjacency_matrix(g), degree_matrix(g), laplacian_matrix(g), m,
+                      m.matmul(m.transpose())]
+        for mat in built + [mat.transpose() for mat in built]:
+            rebuilt = IntegerMatrix(mat.rows, mat.cols, mat.entries)
+            assert mat == rebuilt and hash(mat) == hash(rebuilt) and repr(mat) == repr(rebuilt)
+
 
 class TestConnectivityAndDot:
     def test_connected_fixtures(self, four_cycle, k4, star5, path4):

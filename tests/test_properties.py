@@ -10,11 +10,13 @@ tree by tree against a filter over all (|V| - 1)-edge subsets, on larger
 graphs and long rims against the determinant, and the structured
 enumerator against the generic one and, far along long arcs, against its
 definition.  The Laplacian, degree, adjacency and incidence matrices of any
-small graph satisfy L = D - A = M M^T.  The CLI's envelope writer is checked
-against json.dumps(indent=2) over any document of the types it writes, and refuses
-every other type.  Every JSON command's output, streamed listings included,
-is checked byte for byte against json.dumps(indent=2) of the envelope built
-in one piece, and the DOT listing line by line against the trees it draws.
+small graph satisfy L = D - A = M M^T, and the graph build_jahangir makes
+unchecked equals the one LabeledGraph's checks make of its edges.  The
+CLI's envelope writer is checked against json.dumps(indent=2) over any
+document of the types it writes, and refuses every other type.  Every JSON
+command's output, streamed listings included, is checked byte for byte
+against json.dumps(indent=2) of the envelope built in one piece, and the
+DOT listing line by line against the trees it draws.
 The CLI's strict-form parser is checked against argparse over argv drawn
 from the command table and then mutated.  The sequence int rule,
 require_ints, is checked against the scalar one, require_int, element by
@@ -252,6 +254,16 @@ def test_matrix_identities_hold_on_any_graph(g):
     for j, (u, v) in enumerate(g.edges):
         column = [row[j] for row in inc.entries]
         assert (column[u], column[v], sum(map(abs, column))) == (1, -1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(3, 40))
+def test_built_jahangir_equals_its_checked_rebuild(n, m):
+    # build_jahangir skips LabeledGraph's checks, so it must hold what they
+    # would: a tuple of (u, v) tuples with u < v
+    g = build_jahangir(JahangirParams(n, m))
+    rebuilt = LabeledGraph(g.vertex_count, g.edges)
+    assert g == rebuilt and hash(g) == hash(rebuilt) and repr(g) == repr(rebuilt)
 
 
 def leibniz_det(a):
@@ -686,7 +698,7 @@ def test_fast_parse_is_argparse_or_none(case):
         assert list(vars(fast).items()) == list(vars(parsed).items())
 
 
-class Level(IntEnum):  # an int subclass: the int rule takes it, the fast test misses it
+class Level(IntEnum):  # an int subclass, which the int rule takes
     LOW = -1
     HIGH = 4
 
