@@ -12,10 +12,11 @@ it is rendered once and spliced in after the result.  Five commands write
 rows, through one row path, _write_rows, with one render per row shape,
 in chunks inside an envelope rendered once, byte-identical to the whole.
 Three listings stream the trees of `enumerate`, the edges of `graph` and
-the records of `cycles` as they are produced.  `table` and `ratios` turn
-each count into its string before the first byte is written, so CPython's
-refusal of a too-long int string writes nothing.  `enumerate --format dot`
-draws each tree with one DOT renderer built once per graph.
+the records of `cycles` as they are produced, the trees as texts cut from
+one rendered rim, the other two with their ints rendered once, as labels.
+`table` and `ratios` turn each count into its string before the first byte
+is written, so CPython's refusal of a too-long int string writes nothing.
+`enumerate --format dot` draws each tree with one DOT renderer per graph.
 
 The tree cap and --limit live here, not in the lazy enumerators: _planned
 checks the limit and sizes a listing of J(n, m) from its parameters alone,
@@ -50,7 +51,7 @@ from . import __version__
 from .asymptotics import ratio_series
 from .combinatorics import polynomial_coefficients, sigma, sigma_table, sigma_total
 from .cycles import census_records
-from .enumeration import jahangir_tree_edge_indices, tree_edge_indices
+from .enumeration import jahangir_tree_edge_indices, jahangir_tree_texts, tree_edge_indices
 from .errors import EnumerationCapError, require_int
 from .graph_core import JahangirParams, build_jahangir, dot_renderer, to_dot
 from .matrix_tree import count_spanning_trees_det
@@ -118,7 +119,7 @@ def _emit(args, result, rows=None, render=None, labels: int = 0) -> int:
     With rows, result's last field must hold []: the rows are rendered in
     its place, in chunks as they are drawn, and their number is returned.
     render(chunk, label) gives the text of a chunk of rows, label(i) the
-    text of an int i in range(labels).
+    text of an int i in range(labels), for graph's and cycles' ints.
     """
     # [:-2] drops the closing "\n}", which follows the members added below
     text = _json({"command": args.command,
@@ -157,9 +158,13 @@ def _write_rows(write, head: str, rows, render, labels: int, tail: str) -> int:
 # A result field's rows sit three levels deep, each opening on a line of its
 # own at indent 6; each int inside takes a line of its own.
 
+def _text_rows(chunk, label=None) -> str:
+    # each row given as its ints' text, joined by ",\n        "
+    return "\n      [\n        " + "\n      ],\n      [\n        ".join(chunk) + "\n      ]"
+
+
 def _int_list_rows(chunk, label) -> str:
-    return ("\n      [\n        " + "\n      ],\n      [\n        ".join(
-        [",\n        ".join(map(label, row)) for row in chunk]) + "\n      ]")
+    return _text_rows([",\n        ".join(map(label, row)) for row in chunk])
 
 
 _CYCLE_RECORD = ('\n      {{\n        "spoke_span": [\n          {}\n        ],'
@@ -258,17 +263,16 @@ def _cmd_enumerate(args) -> int:
     params = JahangirParams(args.n, args.m)
     count = _planned(args.n, args.m, args.limit, args.allow_huge)
     # only a binding limit cuts; no listing reaches one past sys.maxsize
-    trees = islice(jahangir_tree_edge_indices(params),
-                   min(count, sys.maxsize) if count == args.limit else None)
+    cut = min(count, sys.maxsize) if count == args.limit else None
     if args.format == "dot":
         draw = dot_renderer(build_jahangir(params))
-        for i, t in enumerate(trees):
+        for i, t in enumerate(islice(jahangir_tree_edge_indices(params), cut)):
             sys.stdout.write(("\n" if i else "") + draw(t, f"tree_{i}"))
         return 0
     # count precedes trees in the envelope, so it is announced as planned
     # and checked afterwards
     result = {"n": args.n, "m": args.m, "limit": args.limit, "count": count, "trees": []}
-    written = _emit(args, result, trees, _int_list_rows, params.edge_count)
+    written = _emit(args, result, islice(jahangir_tree_texts(params), cut), _text_rows)
     if written != count:
         print(f"error: listed {written} trees, announced {count}", file=sys.stderr)
         return 4

@@ -15,21 +15,23 @@ Two independent producers of strictly ascending edge-index tuples:
 * jahangir_tree_edge_indices builds each tree of J(n, m) directly: a
   nonempty spoke subset, less one rim edge (a hole) from each arc between
   cyclically consecutive kept spokes.  An arc spanning g skipped spokes
-  holds (g + 1) * n rim edges: the counting formula's product.  Each tree
-  is spliced from runs of the rim, with no set and no sort.
+  holds (g + 1) * n rim edges: the counting formula's product.  One walk,
+  _frames, yields the subsets and their inner holes; two cutters slide the
+  wrap arc's hole, with no set and no sort: this one splices tuples from
+  runs of the rim, jahangir_tree_texts cuts texts from the rim's, for JSON.
 
 Both are generators over validated input.  enumerate_all and
 enumerate_jahangir wrap each tuple in a graph_core.SpanningTree through
 _tree, errors.trusted taken from graph_core, skipping its checks; the CLI
-draws the tuples, sliced with islice.  None counts the trees it is about to
-list; the CLI, which drains them, caps a listing up front.
+draws the tuples or texts, sliced with islice.  None counts the trees it is
+about to list; the CLI, which drains them, caps a listing up front.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import partial
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator
 
 from .graph_core import (JahangirParams, LabeledGraph, SpanningTree, is_connected, spoke_edge,
@@ -134,33 +136,57 @@ def enumerate_jahangir(params: JahangirParams) -> Iterator[SpanningTree]:
     return map(_tree, jahangir_tree_edge_indices(params))
 
 
+def _frames(params: JahangirParams):
+    """Each nonempty spoke subset, lexicographic: its spoke edges, the rim edges leaving
+    its first and last kept spoke, and its inner holes' choices in product order."""
+    stack = [(j,) for j in range(params.m, 0, -1)]  # (1), (1, 2), ..., (1, 3), ..., (m)
+    while stack:
+        subset = stack.pop()
+        stack += [subset + (j,) for j in range(params.m, subset[-1], -1)]
+        cuts = [(j - 1) * params.n for j in subset]  # the edge leaving each kept spoke
+        yield (tuple(spoke_edge(params, j) for j in subset), cuts[0], cuts[-1],
+               product(*map(range, cuts, cuts[1:])))
+
+
 def jahangir_tree_edge_indices(params: JahangirParams) -> Iterator[tuple[int, ...]]:
     """The edge-index tuples of enumerate_jahangir(params), with no tree objects."""
-    # Holes run in the order of product(*arcs), the wrap arc fastest; each
-    # tree is spliced from runs of one row, the rim then the kept spokes.
-    n, m, nm = params.n, params.m, params.n * params.m
+    nm = params.n * params.m
     rim = tuple(range(nm))
-    stack = [(j,) for j in range(m, 0, -1)]  # (1), (1, 2), ..., (1, 3), ..., (m)
-    while stack:  # the nonempty spoke subsets, in lexicographic order
-        subset = stack.pop()
-        stack += [subset + (j,) for j in range(m, subset[-1], -1)]
-        row = rim + tuple(spoke_edge(params, j) for j in subset)
-        cuts = [(j - 1) * n for j in subset]  # the edge leaving each kept spoke
-        first, last, shift = cuts[0], cuts[-1], 1 - len(cuts)
-        for holes in product(*map(range, cuts, cuts[1:])):
-            mid = []  # the inner arcs, joined once for all the wrap arc's holes
-            for a, b in zip((first - 1, *holes), (*holes, last)):
-                mid += row[a + 1:b]
-            # the wrap arc's hole slides up its part below the first kept spoke,
-            # then up its part from the last, putting back each edge it leaves
-            if first:
-                tree = [*row[1:first], *mid, *row[last:]]
-                yield tuple(tree)
-                for i in range(first - 1):
-                    tree[i] = i
+    for spokes, first, last, choices in _frames(params):
+        for holes in choices:
+            whole, start = [], 0  # the rim less the inner holes, then the spokes
+            for h in holes:
+                whole += rim[start:h]
+                start = h + 1
+            whole.extend((*rim[start:], *spokes))
+            # the wrap arc's hole slides up each of its two parts, putting back
+            # each edge it leaves; the inner holes lie below the second
+            for lo, hi, below in (0, first, 0), (last, nm, len(holes)):
+                if lo < hi:
+                    tree = whole.copy()
+                    del tree[lo - below]
                     yield tuple(tree)
-            tree = [*row[:first], *mid, *row[last + 1:]]
-            yield tuple(tree)
-            for i in range(last, nm - 1):
-                tree[i + shift] = i  # k - 1 inner holes lie below
-                yield tuple(tree)
+                    for i in range(lo, hi - 1):
+                        tree[i - below] = i
+                        yield tuple(tree)
+
+
+def jahangir_tree_texts(params: JahangirParams) -> Iterator[str]:
+    r"""The trees of jahangir_tree_edge_indices(params), each as ",\n        ".join of its ints."""
+    nm = params.n * params.m
+    labels = [f"{i},\n        " for i in range(nm)]
+    rim, at = "".join(labels), [0, *accumulate(map(len, labels))]  # edge i from at[i]
+    del labels
+    for spokes, first, last, choices in _frames(params):
+        tail = ",\n        ".join(map(str, spokes))
+        for holes in choices:
+            runs, start = [], 0  # the rim less the inner holes, then the spokes
+            for h in holes:
+                runs.append(rim[start:at[h]])
+                start = at[h + 1]
+            whole = "".join([*runs, rim[start:], tail])
+            # the wrap arc's hole, cut in each part, the inner holes' text below the second
+            cut = len(rim) + len(tail) - len(whole)
+            for lo, hi, below in (0, first, 0), (last, nm, cut):
+                for i in range(lo, hi):
+                    yield whole[:at[i] - below] + whole[at[i + 1] - below:]

@@ -5,12 +5,15 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from functools import cache
 from itertools import chain, islice
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
-from jahangir import count_spanning_trees_det, sigma
+from jahangir import (JahangirParams, SpanningTree, build_jahangir, count_spanning_trees_det,
+                      sigma, verify_spanning_tree)
 from jahangir.cli import COMMANDS, main
 
 
@@ -261,8 +264,8 @@ class TestEnumerate:
         # of it is reported after the fact
         import jahangir.cli as cli_mod
 
-        real = cli_mod.jahangir_tree_edge_indices
-        monkeypatch.setattr(cli_mod, "jahangir_tree_edge_indices",
+        real = cli_mod.jahangir_tree_texts
+        monkeypatch.setattr(cli_mod, "jahangir_tree_texts",
                             lambda *a, **kw: islice(real(*a, **kw), 1, None))
         code = main(["enumerate", "--n", "2", "--m", "3"])
         captured = capsys.readouterr()
@@ -277,8 +280,8 @@ class TestEnumerate:
         # one tree too many is reported as well
         import jahangir.cli as cli_mod
 
-        real = cli_mod.jahangir_tree_edge_indices
-        monkeypatch.setattr(cli_mod, "jahangir_tree_edge_indices",
+        real = cli_mod.jahangir_tree_texts
+        monkeypatch.setattr(cli_mod, "jahangir_tree_texts",
                             lambda *a, **kw: chain(real(*a, **kw), islice(real(*a, **kw), 1)))
         code = main(["enumerate", "--n", "2", "--m", "3"])
         captured = capsys.readouterr()
@@ -418,6 +421,38 @@ def test_negative_limit_refused_in_one_line(capsys, fmt):
     assert main(["enumerate", "--n", "2", "--m", "3", "--limit", "-1", "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: limit must be >= 0 (got -1)\n")
+
+
+@cache
+def built(n, m):
+    return build_jahangir(JahangirParams(n, m))
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize("limit", [1, 2, 5])
+@pytest.mark.parametrize("m", [25, 40, 64, 100, 160, 200, 400])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_short_listing_of_a_long_rim_is_quick(capsys, n, m, limit, fmt):
+    # the benchmark's tail of --limit listings, up to 1601 vertices: the
+    # listing's setup is linear in the edges, so each takes milliseconds
+    argv = ["enumerate", "--n", str(n), "--m", str(m), "--limit", str(limit), "--format", fmt]
+    start = perf_counter()
+    code = main(argv)
+    seconds = perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert seconds < 0.5
+    g = built(n, m)
+    if fmt == "json":
+        trees = json.loads(out)["result"]["trees"]
+    else:  # a tree's edges are the lines it draws solid, one line an edge in index order
+        trees = []
+        for drawing in out.split("graph tree_")[1:]:
+            ends = re.findall(r"^  v\d+ -- v\d+(;| \[style=dashed\];)$", drawing, re.M)
+            assert len(ends) == g.edge_count
+            trees.append([i for i, end in enumerate(ends) if end == ";"])
+    assert len(trees) == limit
+    assert all(verify_spanning_tree(g, SpanningTree(t)) for t in trees)
 
 
 def test_allow_huge_lifts_the_cap(capsys, monkeypatch):

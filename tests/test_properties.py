@@ -9,9 +9,11 @@ fallback against the generic enumerator.  The generic enumerator is checked
 tree by tree against a filter over all (|V| - 1)-edge subsets, on larger
 graphs and long rims against the determinant, and the structured
 enumerator against the generic one and, far along long arcs, against its
-definition.  The Laplacian, degree, adjacency and incidence matrices of any
-small graph satisfy L = D - A = M M^T, and the graph build_jahangir makes
-unchecked equals the one LabeledGraph's checks make of its edges.  The
+definition; its tree texts against its tuples joined, on rims whose edge
+labels run to four digits.  The Laplacian, degree, adjacency and incidence
+matrices of any small graph satisfy L = D - A = M M^T, and the graph
+build_jahangir makes unchecked equals the one LabeledGraph's checks make of
+its edges.  The
 CLI's envelope writer is checked against json.dumps(indent=2) over any
 document of the types it writes, and refuses every other type.  Every JSON
 command's output, streamed listings included, is checked byte for byte
@@ -64,7 +66,8 @@ from jahangir.asymptotics import decimal_round_half_even
 from jahangir.cli import COMMANDS, _engine_versions, _fast, _json, build_parser, main
 from jahangir.combinatorics import _coefficient, sigma_total
 from jahangir.cycles import _edge_set_is_simple_cycle
-from jahangir.enumeration import jahangir_tree_edge_indices, tree_edge_indices
+from jahangir.enumeration import (jahangir_tree_edge_indices, jahangir_tree_texts,
+                                  tree_edge_indices)
 from jahangir.errors import require_int, require_ints
 from jahangir.graph_core import cycle_order, rim_arc_edges, spoke_edge
 from jahangir.matrix_tree import _det_fraction_free, _laplacian_minor
@@ -415,6 +418,9 @@ def listing_query(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(listing_query())
+@example((2, 5, 20, False))  # edge indices past 10
+@example((3, 40, 20, False))  # past 100
+@example((30, 40, 5, True))  # past 1000
 def test_streamed_enumerate_equals_one_piece_json(query):
     n, m, limit, timestamp = query
     argv = ["enumerate", "--n", str(n), "--m", str(m)]
@@ -432,6 +438,17 @@ def test_streamed_enumerate_equals_one_piece_json(query):
     total = sigma(n, m).total  # the count announced on either side of limit n * m^2
     assert json.loads(out)["result"]["count"] == (total if limit is None else min(limit, total))
     assert mask_timestamp(out) == one_piece("enumerate", parameters, result, timestamp)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 40), st.integers(3, 200), st.integers(0, 2000), st.integers(0, 2000))
+def test_tree_texts_equal_joined_tuples(n, m, skip, take):
+    # rims of up to 8000 edges: labels of one to four digits, so the rim's
+    # text is cut at offsets of every width
+    params = JahangirParams(n, m)
+    tuples = islice(jahangir_tree_edge_indices(params), skip, skip + take)
+    expected = [",\n        ".join(map(str, t)) for t in tuples]
+    assert list(islice(jahangir_tree_texts(params), skip, skip + take)) == expected
 
 
 @settings(max_examples=40, deadline=None)
