@@ -3,17 +3,19 @@
 a(n, m) = sigma(n, m+1) / sigma(n, m) is kept as an exact Fraction; decimal
 strings are rendering only.  A ratio series reads its totals from one pass
 of the recurrence in combinatorics.sigma_table; every other total is one
-combinatorics.sigma_total.  A ratio series rounds its decimals in ints,
-through the helper decimal_round_half_even also calls, from each ratio's
-numerator and denominator and one 10**places per series.  The m-direction
-ratios fall to a constant per n from above (estimated with a bracket that
-lies above it); the n-direction ratios decrease toward 1.
+combinatorics.sigma_total.  ratio_rows gives a series' rows in ints, each
+ratio reduced by one gcd, its decimal rounded in ints with one 10**places,
+and ratio_series wraps them as Fractions; the CLI reads the ints.  The
+m-direction ratios fall to a constant per n from above (estimated with a
+bracket that lies above it); the n-direction ratios decrease toward 1.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .combinatorics import sigma_table, sigma_total
 from .errors import require_int
@@ -111,18 +113,22 @@ def ratio(n: int, m: int) -> Fraction:
     return Fraction(sigma_total(n, m + 1), before)
 
 
-def ratio_series(n: int, m_max: int, places: int = 9) -> RatioSeries:
+def ratio_rows(n: int, m_max: int, places: int = 9) -> Iterator[tuple[int, int, int, str]]:
+    """(m, numerator, denominator, decimal) of each ratio_series entry: the
+    ratio in lowest terms, in ints.  The arguments are checked at the first row."""
     require_int(n, 2, "n")
     require_int(m_max, 4, "m_max")
     require_int(places, 0, "places")
     rows = sigma_table(n, m_max)
     scale = 10**places
-    entries = []
     for (m, before), (_, after) in zip(rows, rows[1:]):
-        r = Fraction(after, before)
-        entries.append(RatioEntry(m, r, _round_half_even(r.numerator, r.denominator,
-                                                         scale, places)))
-    return RatioSeries(n, tuple(entries))
+        common = gcd(after, before)
+        yield m, after // common, before // common, _round_half_even(after, before, scale, places)
+
+
+def ratio_series(n: int, m_max: int, places: int = 9) -> RatioSeries:
+    return RatioSeries(n, tuple(RatioEntry(m, Fraction(num, den), decimal)
+                                for m, num, den, decimal in ratio_rows(n, m_max, places)))
 
 
 def n_direction_ratios(m: int, n_max: int) -> NDirectionRatios:

@@ -6,17 +6,19 @@ exceed JSON's safe integer range are serialized as decimal strings.  Output
 is deterministic; an optional timestamp field is off by default.  One
 writer, _json, gives every envelope the json module's indent=2 bytes with
 its C string encoder: given an indent, CPython 3.10/3.11 encode in Python.
+It draws a template per shape of envelope, which str.format fills, and
+writes the irregular values, --method all's engines and cycles' histogram.
 
-The engine_versions member is the same in every envelope of a process, so
-it is rendered once and spliced in after the result.  Five commands write
-rows, through one row path, _write_rows, with one render per row shape,
-in chunks inside an envelope rendered once, byte-identical to the whole.
-Three listings stream the trees of `enumerate`, the edges of `graph` and
-the records of `cycles` as they are produced, the trees as texts cut from
-one rendered rim, the other two with their ints rendered once, as labels.
-`table` and `ratios` turn each count into its string before the first byte
-is written, so CPython's refusal of a too-long int string writes nothing.
-`enumerate --format dot` draws each tree with one DOT renderer per graph.
+The engine_versions member, the same in every envelope of a process, is
+rendered once and spliced in after the result.  Five commands write rows,
+through one row path, _write_rows, with one render per row shape, in
+chunks of at most about 1 MB, byte-identical to the whole.  Three listings
+stream the trees of `enumerate`, the edges of `graph` and the records of
+`cycles` as they are produced, the trees as texts cut from one rendered
+rim, the other two with their ints rendered once, as labels.  `table` and
+`ratios` turn each count into its string before the first byte is written,
+so CPython's refusal of a too-long int string writes nothing.  `enumerate
+--format dot` draws each tree with one DOT renderer per graph.
 
 The tree cap and --limit live here, not in the lazy enumerators: _planned
 checks the limit and sizes a listing of J(n, m) from its parameters alone,
@@ -42,13 +44,14 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import suppress
-from functools import cache
+from functools import cache, partial
 from itertools import islice, starmap
 from json.encoder import encode_basestring_ascii as _string  # C, where CPython has it
+from operator import attrgetter
 from types import SimpleNamespace
 
 from . import __version__
-from .asymptotics import ratio_series
+from .asymptotics import ratio_rows
 from .combinatorics import polynomial_coefficients, sigma, sigma_table, sigma_total
 from .cycles import census_records
 from .enumeration import jahangir_tree_edge_indices, jahangir_tree_texts, tree_edge_indices
@@ -107,25 +110,45 @@ def _json(value, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
-def _emit(args, result, rows=None, render=None, labels: int = 0) -> int:
+# Placeholders in a template's skeleton, for a value and for each string of
+# a list: _json draws them as "\u0000" and "\u0001", and no key holds them.
+_SLOT, _ITEM = "\0", "\1"
+# a value's text by its type: a scalar's by one C call, a list's (of strings
+# of digits, never empty) by one join, and a dict's, a result member, by _json
+_FILLS = {str: _string, int: str, bool: ("false", "true").__getitem__,
+          type(None): {None: "null"}.__getitem__, dict: partial(_json, indent="\n    "),
+          list: _json([_ITEM] * 2, "\n    ").split("\\u0001")[1].join}
+_TEMPLATES: dict = {}  # (command, *result's keys): a template, a getter of its parameters
+
+
+def _emit(args, result, rows=None, render=None, labels: int = 0, between: str = ",") -> int:
     """Write the envelope as _json writes it: given an indent, CPython 3.10
     and 3.11 run json's pure-Python encoder, where _json keeps its C one.
 
-    _json renders the command, the parameters and the result; the
-    engine_versions member, rendered once per process, follows them, and
-    --timestamp follows it.  The parameters echoed are the parsed arguments
-    in declared order, less --timestamp, --allow-huge and the command.
-    Without rows the envelope goes out in one write, and 0 is returned.
-    With rows, result's last field must hold []: the rows are rendered in
-    its place, in chunks as they are drawn, and their number is returned.
-    render(chunk, label) gives the text of a chunk of rows, label(i) the
-    text of an int i in range(labels), for graph's and cycles' ints.
+    _json draws a template once per shape of envelope, a command and its
+    result's keys, with a placeholder in each value slot, which one
+    str.format fills; engine_versions, rendered once per process, follows
+    the result, and --timestamp follows it.  The parameters echoed are the
+    parsed arguments in declared order, less --timestamp, --allow-huge and
+    the command.  Without rows the envelope goes out in one write, and 0 is
+    returned.  With rows, result's last field must hold []: the rows are
+    rendered in its place, in chunks as they are drawn, and their number is
+    returned.  render(chunk, label) gives the texts of a chunk's rows, or
+    the rows are texts, and between joins them; label(i) is i's text.
     """
-    # [:-2] drops the closing "\n}", which follows the members added below
-    text = _json({"command": args.command,
-                  "parameters": {k: v for k, v in vars(args).items()
-                                 if k not in ("timestamp", "command", "allow_huge")},
-                  "result": result})[:-2] + _versions_member()
+    key = (args.command, *result)
+    if key not in _TEMPLATES:
+        # the envelope up to engine_versions, its braces doubled and each
+        # placeholder "{}"; a rows field's [], the only empty list, stays
+        names = [k for k in vars(args) if k not in ("timestamp", "command", "allow_huge")]
+        members = [v and [_ITEM] if type(v) is list else _SLOT for v in result.values()]
+        text = _json({"command": _SLOT, "parameters": dict.fromkeys(names, _SLOT),
+                      "result": dict(zip(result, members))})[:-2]
+        text = text.replace("{", "{{").replace("}", "}}").replace(_string(_SLOT), "{}")
+        _TEMPLATES[key] = text.replace(_string(_ITEM)[1:-1], "{}"), attrgetter("command", *names)
+    template, given = _TEMPLATES[key]
+    values = (*given(args), *result.values())  # format ignores a rows field's ""
+    text = template.format(*[_FILLS[type(v)](v) for v in values]) + _versions_member()
     if args.timestamp:
         from datetime import datetime, timezone
 
@@ -135,36 +158,38 @@ def _emit(args, result, rows=None, render=None, labels: int = 0) -> int:
         sys.stdout.write(text)
         return 0
     head, key, tail = text.partition(f'"{next(reversed(result))}": []')
-    return _write_rows(sys.stdout.write, head + key[:-1], rows, render, labels, tail)
+    return _write_rows(sys.stdout.write, head + key[:-1], rows, render, labels, tail, between)
 
 
-_ROWS_PER_WRITE = 256
+_ROWS_PER_WRITE, _CHUNK_BYTES = 256, 1 << 20  # a chunk's most rows, and about its most text
 
 
-def _write_rows(write, head: str, rows, render, labels: int, tail: str) -> int:
-    # ints are rendered once, so a list of them costs one join; the head goes
-    # out with the first chunk, so rows that fill one chunk take two writes
+def _write_rows(write, head: str, rows, render, labels: int, tail: str, between: str) -> int:
+    # ints are rendered once, so a list of them costs one join.  A chunk, one
+    # row and then sized from the chunk before, is one join on between (a
+    # row's closing, "," and the next one's opening), written on its own
     label = [str(i) for i in range(labels)].__getitem__
+    closing, _, opening = between.partition(",")
     rows = iter(rows)
-    sep, written = head, 0
-    while chunk := list(islice(rows, _ROWS_PER_WRITE)):
-        write(sep + render(chunk, label))
-        sep = ","
+    sep, size, written = head + opening, 1, 0
+    while chunk := list(islice(rows, size)):
+        text = between.join(render(chunk, label) if render else chunk)
+        write(sep)
+        write(text)
+        sep = between
         written += len(chunk)
-    write(("\n    ]" if written else head + "]") + tail)
+        size = max(1, min(_ROWS_PER_WRITE, len(chunk) * _CHUNK_BYTES // (len(text) + 1)))
+    write((closing + "\n    ]" if written else head + "]") + tail)
     return written
 
 
 # A result field's rows sit three levels deep, each opening on a line of its
-# own at indent 6; each int inside takes a line of its own.
-
-def _text_rows(chunk, label=None) -> str:
-    # each row given as its ints' text, joined by ",\n        "
-    return "\n      [\n        " + "\n      ],\n      [\n        ".join(chunk) + "\n      ]"
+# own at indent 6, arrays between _ARRAYS; each int inside takes a line of its own.
+_ARRAYS = "\n      ],\n      [\n        "
 
 
-def _int_list_rows(chunk, label) -> str:
-    return _text_rows([",\n        ".join(map(label, row)) for row in chunk])
+def _int_list_rows(chunk, label) -> list:
+    return [",\n        ".join(map(label, row)) for row in chunk]
 
 
 _CYCLE_RECORD = ('\n      {{\n        "spoke_span": [\n          {}\n        ],'
@@ -172,17 +197,17 @@ _CYCLE_RECORD = ('\n      {{\n        "spoke_span": [\n          {}\n        ],'
                  '\n        "is_simple_cycle": {}\n      }}')
 
 
-def _cycle_record_rows(chunk, label) -> str:
-    return ",".join([_CYCLE_RECORD.format(
+def _cycle_record_rows(chunk, label) -> list:
+    return [_CYCLE_RECORD.format(
         ",\n          ".join(map(label, r.spoke_span)), r.length,
         ",\n          ".join(map(label, r.edge_indices)),
-        "true" if r.is_simple_cycle else "false") for r in chunk])
+        "true" if r.is_simple_cycle else "false") for r in chunk]
 
 
 def _filled(template: str):
     # a render of rows that are tuples of the values template takes, in
     # order: ints and strings of digits, "." and ",", none needing an escape
-    return lambda chunk, label: ",".join(starmap(template.format, chunk))
+    return lambda chunk, label: starmap(template.format, chunk)
 
 
 _table_rows = _filled('\n      {{\n        "m": {},\n        "sigma": "{}"\n      }}')
@@ -270,9 +295,9 @@ def _cmd_enumerate(args) -> int:
             sys.stdout.write(("\n" if i else "") + draw(t, f"tree_{i}"))
         return 0
     # count precedes trees in the envelope, so it is announced as planned
-    # and checked afterwards
+    # and checked afterwards; each tree comes as its ints' text
     result = {"n": args.n, "m": args.m, "limit": args.limit, "count": count, "trees": []}
-    written = _emit(args, result, islice(jahangir_tree_texts(params), cut), _text_rows)
+    written = _emit(args, result, islice(jahangir_tree_texts(params), cut), between=_ARRAYS)
     if written != count:
         print(f"error: listed {written} trees, announced {count}", file=sys.stderr)
         return 4
@@ -302,9 +327,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_ratios(args) -> int:
-    rows = [(e.m, str(e.ratio.numerator), str(e.ratio.denominator),
-             e.decimal.replace(".", ",") if args.decimal_comma else e.decimal)
-            for e in ratio_series(args.n, args.m_max, places=args.precision).entries]
+    rows = [(m, str(num), str(den), decimal.replace(".", ",") if args.decimal_comma else decimal)
+            for m, num, den, decimal in ratio_rows(args.n, args.m_max, args.precision)]
     result = {"n": args.n, "m_max": args.m_max, "precision": args.precision, "entries": []}
     _emit(args, result, rows, _ratio_rows)
     return 0
@@ -317,7 +341,7 @@ def _cmd_graph(args) -> int:
         return 0
     result = {"n": args.n, "m": args.m, "vertex_count": g.vertex_count,
               "edge_count": g.edge_count, "edges": []}
-    _emit(args, result, g.edges, _int_list_rows, g.vertex_count)
+    _emit(args, result, g.edges, _int_list_rows, g.vertex_count, _ARRAYS)
     return 0
 
 

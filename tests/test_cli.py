@@ -95,6 +95,14 @@ class TestCount:
         assert payload["result"]["agreement"] is False
         assert "total" not in payload["result"]
         assert "disagreement" in captured.err
+        # its own shape of envelope, byte for byte the json module's
+        envelope = {"command": "count",
+                    "parameters": {"n": 2, "m": 3, "method": "all", "breakdown": False},
+                    "result": {"n": 2, "m": 3, "method": "all",
+                               "engines": {"combinatorial": "50", "kirchhoff": "49",
+                                           "enumerate": "50"}, "agreement": False},
+                    "engine_versions": cli_mod._engine_versions()}
+        assert captured.out == json.dumps(envelope, indent=2) + "\n"
 
     def test_method_all_counts_kirchhoff_once(self, capsys, monkeypatch):
         import jahangir.cli as cli_mod
@@ -453,6 +461,35 @@ def test_short_listing_of_a_long_rim_is_quick(capsys, n, m, limit, fmt):
             trees.append([i for i, end in enumerate(ends) if end == ";"])
     assert len(trees) == limit
     assert all(verify_spanning_tree(g, SpanningTree(t)) for t in trees)
+
+
+def counts_tail():
+    """The benchmark's tail of counts, m in 20..400, n in 2..9: 686 argv."""
+    for m in (20, 24, 30, 40, 50, 64, 80, 100, 128, 160, 200, 256, 320, 400):
+        yield ["coeffs", "--m", str(m)]
+        for n in map(str, range(2, 10)):
+            yield ["count", "--n", n, "--m", str(m)]
+            yield ["count", "--n", n, "--m", str(m), "--breakdown"]
+            yield ["table", "--n", n, "--m-max", str(m), "--format", "csv"]
+            for precision in ("3", "9", "20"):
+                yield ["ratios", "--n", n, "--m-max", str(m), "--precision", precision]
+
+
+@pytest.mark.parametrize("argv", counts_tail(), ids=" ".join)
+def test_long_count_is_quick(capsys, argv):
+    # each takes milliseconds: its rows and envelope are filled, not walked
+    start = perf_counter()
+    code = main(argv)
+    seconds = perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert seconds < 0.25
+    if argv[0] == "table":
+        lines = out.splitlines()
+        assert lines[0] == "m,sigma" and len(lines) == int(argv[4]) - 1
+        assert all(int(m) > 0 and int(total) > 0 for m, total in (x.split(",") for x in lines[1:]))
+    else:
+        assert json.loads(out)["command"] == argv[0]
 
 
 def test_allow_huge_lifts_the_cap(capsys, monkeypatch):

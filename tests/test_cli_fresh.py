@@ -1,5 +1,6 @@
 """The CLI run in fresh interpreters: `count --method all`, the listing
 admission and its refusals, two streamed listings in bounded memory, a
+listing of a few very large trees in memory bounded by about one tree, a
 Kirchhoff count in memory bounded per vertex, a CLI that never imports
 numpy, and a `count` that imports only what it runs.
 
@@ -82,6 +83,22 @@ def check_streamed_listings_in_bounded_memory():
     assert rss_mb < 64
 
 
+def check_large_trees_stream_in_bounded_memory():
+    # 20 trees of J(100000, 3), 4.7 MB of text each: a chunk of rows holds
+    # about 1 MB of text or one row, so the peak holds about one tree, not 20
+    proc = subprocess.Popen([sys.executable, "-m", "jahangir.cli", "enumerate", "--n", "100000",
+                             "--m", "3", "--limit", "20"], stdout=subprocess.PIPE)
+    closer, carry, trees = b"\n      ]", b"", 0
+    while block := proc.stdout.read(1 << 20):
+        trees += (carry + block).count(closer)
+        carry = block[1 - len(closer):]
+    assert proc.wait() == 0
+    rss_mb = largest_child_mb()
+    print(f"{trees} trees, largest child: {rss_mb:.1f} MB")
+    assert trees == 20 and carry.endswith(b"\n}\n")
+    assert rss_mb < 100
+
+
 def check_kirchhoff_count_in_bounded_memory():
     # the cycle-minor count of J(20000, 3) holds the graph, its edges less the
     # hub's and the walk's two flat lists: 180 to 192 bytes a vertex on CPython
@@ -143,6 +160,10 @@ def test_count_all_and_listing_admission():
 
 def test_streamed_listings_in_bounded_memory():
     in_fresh_interpreter(check_streamed_listings_in_bounded_memory)
+
+
+def test_large_trees_stream_in_bounded_memory():
+    in_fresh_interpreter(check_large_trees_stream_in_bounded_memory)
 
 
 def test_kirchhoff_count_in_bounded_memory():

@@ -4,7 +4,9 @@ perfbench/seed_digests.json maps each pinned argv (joined with spaces) to
 the sha256 of the stdout the seed program printed for it, with the Python
 and numpy versions in the JSON envelope masked as "*".  This test replays
 every one of those argv through cli.main, all seven commands and the
-Kirchhoff counts included, and compares digests.
+Kirchhoff counts included, and compares digests.  After the replay the
+envelope templates number one per shape of result, however many argv drew
+them.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+from jahangir import cli
 from jahangir.cli import main
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "seed_digests.json"
@@ -48,3 +51,13 @@ def test_stdout_matches_seed_digests():
         if got != digest:
             mismatched.append(key)
     assert mismatched == []
+
+
+def test_one_template_per_result_shape():
+    # count: one engine, or --method all agreed or disagreed, each with and
+    # without --breakdown; one each for the six other JSON outputs
+    for key in [*pinned(), *[f"cycles --m {m}" for m in range(3, 41)]]:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            main(key.split())
+    assert len(cli._TEMPLATES) <= 12
+    assert {key[0] for key in cli._TEMPLATES} <= set(COMMANDS)

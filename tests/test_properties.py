@@ -22,7 +22,8 @@ DOT listing line by line against the trees it draws.
 The CLI's strict-form parser is checked against argparse over argv drawn
 from the command table and then mutated.  The sequence int rule,
 require_ints, is checked against the scalar one, require_int, element by
-element.
+element.  The ratio rows in ints are checked against the Fractions of two
+totals, in lowest terms, and their decimals against decimal_round_half_even.
 """
 
 import json
@@ -33,7 +34,7 @@ from enum import IntEnum
 from fractions import Fraction
 from io import StringIO
 from itertools import combinations, islice, permutations, product
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,7 +63,8 @@ from jahangir import (
     sigma_table,
     verify_spanning_tree,
 )
-from jahangir.asymptotics import decimal_round_half_even
+from jahangir.asymptotics import (RatioEntry, RatioSeries, decimal_round_half_even,
+                                  ratio_rows, ratio_series)
 from jahangir.cli import COMMANDS, _engine_versions, _fast, _json, build_parser, main
 from jahangir.combinatorics import _coefficient, sigma_total
 from jahangir.cycles import _edge_set_is_simple_cycle
@@ -531,18 +533,20 @@ def test_envelope_writer_refuses_what_it_cannot_match(value):
 
 @st.composite
 def unstreamed_query(draw):
-    """(argv, parameters, result) of count, coeffs, table --format json or
-    ratios, result None where the arguments are refused; n 1 and m 2 are."""
+    """(argv, parameters, result) of count (each --method, with and without
+    --breakdown and --allow-huge), coeffs, table --format json or ratios,
+    result None where the arguments are refused; n 1 and m 2 are."""
     command = draw(st.sampled_from(["count", "coeffs", "table", "ratios"]))
     n, m = draw(st.integers(1, 9)), draw(st.integers(2, 16))
     try:
         if command == "count":
-            method = draw(st.sampled_from(["combinatorial", "kirchhoff", "all"]))
-            if method == "all":  # a listing of every tree: small graphs only
+            method = draw(st.sampled_from(["combinatorial", "kirchhoff", "enumerate", "all"]))
+            if method in ("enumerate", "all"):  # a listing of every tree: small graphs only
                 n, m = min(n, 3), min(m, 5)
-            breakdown = draw(st.booleans())
+            breakdown, allow_huge = draw(st.booleans()), draw(st.booleans())
             argv = ["count", "--n", str(n), "--m", str(m), "--method", method]
             argv += ["--breakdown"] if breakdown else []
+            argv += ["--allow-huge"] if allow_huge else []  # not echoed
             parameters = {"n": n, "m": m, "method": method, "breakdown": breakdown}
             counted = sigma(n, m)
             total = str(counted.total if method == "combinatorial"
@@ -593,6 +597,21 @@ def test_unstreamed_commands_equal_one_piece_json(query, timestamp):
         return
     assert code == 0
     assert mask_timestamp(out) == one_piece(argv[0], parameters, result, timestamp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(4, 120), st.integers(0, 40))
+def test_ratio_rows_are_reduced_and_rounded(n, m_max, places):
+    rows = list(ratio_rows(n, m_max, places))
+    assert [m for m, *_ in rows] == list(range(3, m_max))
+    expected = []
+    for m, num, den, decimal in rows:
+        exact = Fraction(sigma_total(n, m + 1), sigma_total(n, m))
+        assert gcd(num, den) == 1 and Fraction(num, den) == exact
+        assert decimal == decimal_round_half_even(exact, places)
+        expected.append(RatioEntry(m, exact, decimal))
+    # the series wraps the rows: each entry the exact ratio of two totals
+    assert ratio_series(n, m_max, places) == RatioSeries(n, tuple(expected))
 
 
 DOT_VERTEX = re.compile(r"  v(\d+);")
