@@ -10,15 +10,13 @@ It draws a template per shape of envelope, which str.format fills, and
 writes the irregular values, --method all's engines and cycles' histogram.
 
 The engine_versions member, the same in every envelope of a process, is
-rendered once and spliced in after the result.  Five commands write rows,
-through one row path, _write_rows, with one render per row shape, in
-chunks of at most about 1 MB, byte-identical to the whole.  Three listings
-stream the trees of `enumerate`, the edges of `graph` and the records of
-`cycles` as they are produced, the trees as texts cut from one rendered
-rim, the other two with their ints rendered once, as labels.  `table` and
-`ratios` turn each count into its string before the first byte is written,
-so CPython's refusal of a too-long int string writes nothing.  `enumerate
---format dot` draws each tree with one DOT renderer per graph.
+rendered once and spliced in after the result.  Every listing reaches one
+writer, _write_rows, as rows that are each the finished text of one
+element, which it joins in chunks of at most about 1 MB: the JSON rows of
+five commands and the drawings of `enumerate --format dot`.  `enumerate`,
+`graph` and `cycles` stream their trees, edges and records as they are
+produced; `table` and `ratios` render every row before the first byte is
+written, so CPython's refusal of a too-long int string writes nothing.
 
 The tree cap and --limit live here, not in the lazy enumerators: _planned
 checks the limit and sizes a listing of J(n, m) from its parameters alone,
@@ -121,7 +119,7 @@ _FILLS = {str: _string, int: str, bool: ("false", "true").__getitem__,
 _TEMPLATES: dict = {}  # (command, *result's keys): a template, a getter of its parameters
 
 
-def _emit(args, result, rows=None, render=None, labels: int = 0, between: str = ",") -> int:
+def _emit(args, result, rows=None) -> int:
     """Write the envelope as _json writes it: given an indent, CPython 3.10
     and 3.11 run json's pure-Python encoder, where _json keeps its C one.
 
@@ -131,10 +129,10 @@ def _emit(args, result, rows=None, render=None, labels: int = 0, between: str = 
     the result, and --timestamp follows it.  The parameters echoed are the
     parsed arguments in declared order, less --timestamp, --allow-huge and
     the command.  Without rows the envelope goes out in one write, and 0 is
-    returned.  With rows, result's last field must hold []: the rows are
-    rendered in its place, in chunks as they are drawn, and their number is
-    returned.  render(chunk, label) gives the texts of a chunk's rows, or
-    the rows are texts, and between joins them; label(i) is i's text.
+    returned.  With rows, result's last field must hold []: the envelope up
+    to its "[" is written, then the rows, each the finished text of one
+    element, by _write_rows, then its "]" and the rest; their number is
+    returned.
     """
     key = (args.command, *result)
     if key not in _TEMPLATES:
@@ -158,61 +156,43 @@ def _emit(args, result, rows=None, render=None, labels: int = 0, between: str = 
         sys.stdout.write(text)
         return 0
     head, key, tail = text.partition(f'"{next(reversed(result))}": []')
-    return _write_rows(sys.stdout.write, head + key[:-1], rows, render, labels, tail, between)
+    sys.stdout.write(head + key[:-1])
+    written = _write_rows(rows, ",")
+    sys.stdout.write(("\n    ]" if written else "]") + tail)
+    return written
 
 
 _ROWS_PER_WRITE, _CHUNK_BYTES = 256, 1 << 20  # a chunk's most rows, and about its most text
 
 
-def _write_rows(write, head: str, rows, render, labels: int, tail: str, between: str) -> int:
-    # ints are rendered once, so a list of them costs one join.  A chunk, one
-    # row and then sized from the chunk before, is one join on between (a
-    # row's closing, "," and the next one's opening), written on its own
-    label = [str(i) for i in range(labels)].__getitem__
-    closing, _, opening = between.partition(",")
-    rows = iter(rows)
-    sep, size, written = head + opening, 1, 0
+def _write_rows(rows, between: str) -> int:
+    """Write rows, texts, joined by between, as they are drawn; return their number.
+
+    A chunk, one row and then sized from the chunk before to about
+    _CHUNK_BYTES of text and at most _ROWS_PER_WRITE rows, is one join,
+    written on its own, so the bytes are those of between.join(rows).
+    """
+    write, rows = sys.stdout.write, iter(rows)
+    size, written = 1, 0
     while chunk := list(islice(rows, size)):
-        text = between.join(render(chunk, label) if render else chunk)
-        write(sep)
+        text = between.join(chunk)
+        if written:
+            write(between)
         write(text)
-        sep = between
         written += len(chunk)
         size = max(1, min(_ROWS_PER_WRITE, len(chunk) * _CHUNK_BYTES // (len(text) + 1)))
-    write((closing + "\n    ]" if written else head + "]") + tail)
     return written
 
 
-# A result field's rows sit three levels deep, each opening on a line of its
-# own at indent 6, arrays between _ARRAYS; each int inside takes a line of its own.
-_ARRAYS = "\n      ],\n      [\n        "
-
-
-def _int_list_rows(chunk, label) -> list:
-    return [",\n        ".join(map(label, row)) for row in chunk]
-
-
+# A row of a result field, an element of its array at indent 6, as one
+# str.format fills it from ints and strings that need no escape
+_EDGE_ROW = "\n      [\n        {},\n        {}\n      ]"
 _CYCLE_RECORD = ('\n      {{\n        "spoke_span": [\n          {}\n        ],'
                  '\n        "length": {},\n        "edge_indices": [\n          {}\n        ],'
                  '\n        "is_simple_cycle": {}\n      }}')
-
-
-def _cycle_record_rows(chunk, label) -> list:
-    return [_CYCLE_RECORD.format(
-        ",\n          ".join(map(label, r.spoke_span)), r.length,
-        ",\n          ".join(map(label, r.edge_indices)),
-        "true" if r.is_simple_cycle else "false") for r in chunk]
-
-
-def _filled(template: str):
-    # a render of rows that are tuples of the values template takes, in
-    # order: ints and strings of digits, "." and ",", none needing an escape
-    return lambda chunk, label: starmap(template.format, chunk)
-
-
-_table_rows = _filled('\n      {{\n        "m": {},\n        "sigma": "{}"\n      }}')
-_ratio_rows = _filled('\n      {{\n        "m": {},\n        "ratio": "{}/{}",'
-                      '\n        "decimal": "{}"\n      }}')
+_TABLE_ROW = '\n      {{\n        "m": {},\n        "sigma": "{}"\n      }}'
+_RATIO_ROW = ('\n      {{\n        "m": {},\n        "ratio": "{}/{}",'
+              '\n        "decimal": "{}"\n      }}')
 
 
 TREE_CAP = 10_000_000
@@ -291,13 +271,13 @@ def _cmd_enumerate(args) -> int:
     cut = min(count, sys.maxsize) if count == args.limit else None
     if args.format == "dot":
         draw = dot_renderer(build_jahangir(params))
-        for i, t in enumerate(islice(jahangir_tree_edge_indices(params), cut)):
-            sys.stdout.write(("\n" if i else "") + draw(t, f"tree_{i}"))
+        trees = enumerate(islice(jahangir_tree_edge_indices(params), cut))
+        _write_rows((draw(t, f"tree_{i}") for i, t in trees), "\n")
         return 0
     # count precedes trees in the envelope, so it is announced as planned
-    # and checked afterwards; each tree comes as its ints' text
+    # and checked afterwards; each tree comes as its element's text
     result = {"n": args.n, "m": args.m, "limit": args.limit, "count": count, "trees": []}
-    written = _emit(args, result, islice(jahangir_tree_texts(params), cut), between=_ARRAYS)
+    written = _emit(args, result, islice(jahangir_tree_texts(params), cut))
     if written != count:
         print(f"error: listed {written} trees, announced {count}", file=sys.stderr)
         return 4
@@ -312,7 +292,11 @@ def _cmd_cycles(args) -> int:
     result = {"m": m, "record_count": m * m, "simple_cycle_count": m * m - m,
               "length_histogram": {str(2 * (k + 1)): m for k in range(1, m + 1)},
               "records": []}
-    _emit(args, result, records, _cycle_record_rows, 3 * m)
+    label = [str(i) for i in range(3 * m)].__getitem__  # J(2, m)'s 3m edge indices
+    _emit(args, result, (_CYCLE_RECORD.format(
+        ",\n          ".join(map(label, r.spoke_span)), r.length,
+        ",\n          ".join(map(label, r.edge_indices)),
+        "true" if r.is_simple_cycle else "false") for r in records))
     return 0
 
 
@@ -322,15 +306,16 @@ def _cmd_table(args) -> int:
         sys.stdout.write("".join(["m,sigma\n", *[f"{m},{total}\n" for m, total in rows]]))
         return 0
     result = {"n": args.n, "m_max": args.m_max, "rows": []}
-    _emit(args, result, [(m, str(total)) for m, total in rows], _table_rows)
+    _emit(args, result, [_TABLE_ROW.format(m, total) for m, total in rows])
     return 0
 
 
 def _cmd_ratios(args) -> int:
-    rows = [(m, str(num), str(den), decimal.replace(".", ",") if args.decimal_comma else decimal)
+    rows = [_RATIO_ROW.format(m, num, den,
+                              decimal.replace(".", ",") if args.decimal_comma else decimal)
             for m, num, den, decimal in ratio_rows(args.n, args.m_max, args.precision)]
     result = {"n": args.n, "m_max": args.m_max, "precision": args.precision, "entries": []}
-    _emit(args, result, rows, _ratio_rows)
+    _emit(args, result, rows)
     return 0
 
 
@@ -341,7 +326,7 @@ def _cmd_graph(args) -> int:
         return 0
     result = {"n": args.n, "m": args.m, "vertex_count": g.vertex_count,
               "edge_count": g.edge_count, "edges": []}
-    _emit(args, result, g.edges, _int_list_rows, g.vertex_count, _ARRAYS)
+    _emit(args, result, starmap(_EDGE_ROW.format, g.edges))
     return 0
 
 

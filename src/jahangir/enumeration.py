@@ -18,7 +18,8 @@ Two independent producers of strictly ascending edge-index tuples:
   holds (g + 1) * n rim edges: the counting formula's product.  One walk,
   _frames, yields the subsets and their inner holes; two cutters slide the
   wrap arc's hole, with no set and no sort: this one splices tuples from
-  runs of the rim, jahangir_tree_texts cuts texts from the rim's, for JSON.
+  runs of the rim, jahangir_tree_texts cuts each tree's whole JSON element,
+  brackets and all, from the rim's text, so one module holds its layout.
 
 Both are generators over validated input.  enumerate_all and
 enumerate_jahangir wrap each tuple in a graph_core.SpanningTree through
@@ -172,13 +173,15 @@ def jahangir_tree_edge_indices(params: JahangirParams) -> Iterator[tuple[int, ..
 
 
 def jahangir_tree_texts(params: JahangirParams) -> Iterator[str]:
-    r"""The trees of jahangir_tree_edge_indices(params), each as ",\n        ".join of its ints."""
+    r"""The trees of jahangir_tree_edge_indices(params), each as its element of a JSON
+    listing at indent 6: "\n      [\n        " + ",\n        ".join(ints) + "\n      ]"."""
     nm = params.n * params.m
-    labels = [f"{i},\n        " for i in range(nm)]
-    rim, at = "".join(labels), [0, *accumulate(map(len, labels))]  # edge i from at[i]
+    # a tree's opening lines, then each edge's label: edge i from at[i]
+    labels = ["\n      [\n        ", *[f"{i},\n        " for i in range(nm)]]
+    rim, at = "".join(labels), list(accumulate(map(len, labels)))
     del labels
     for spokes, first, last, choices in _frames(params):
-        tail = ",\n        ".join(map(str, spokes))
+        tail = ",\n        ".join(map(str, spokes)) + "\n      ]"
         for holes in choices:
             runs, start = [], 0  # the rim less the inner holes, then the spokes
             for h in holes:

@@ -446,10 +446,12 @@ def test_streamed_enumerate_equals_one_piece_json(query):
 @given(st.integers(2, 40), st.integers(3, 200), st.integers(0, 2000), st.integers(0, 2000))
 def test_tree_texts_equal_joined_tuples(n, m, skip, take):
     # rims of up to 8000 edges: labels of one to four digits, so the rim's
-    # text is cut at offsets of every width
+    # text is cut at offsets of every width; each text is a whole element
+    # of a JSON listing at indent 6, its brackets on lines of their own
     params = JahangirParams(n, m)
     tuples = islice(jahangir_tree_edge_indices(params), skip, skip + take)
-    expected = [",\n        ".join(map(str, t)) for t in tuples]
+    expected = ["\n      [\n        " + ",\n        ".join(map(str, t)) + "\n      ]"
+                for t in tuples]
     assert list(islice(jahangir_tree_texts(params), skip, skip + take)) == expected
 
 
@@ -620,6 +622,7 @@ DOT_EDGE = re.compile(r"  v(\d+) -- v(\d+)( \[style=dashed\])?;")
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 4), st.integers(3, 6), st.integers(0, 40))
+@example(4, 6, 600)  # past one tree and then 256: the listing's first two chunk seams
 def test_dot_listing_draws_each_tree_in_its_host(n, m, limit):
     argv = ["enumerate", "--n", str(n), "--m", str(m), "--limit", str(limit), "--format", "dot"]
     code, out = run_cli(argv)
