@@ -79,7 +79,8 @@ class NDirectionRatios:
 @dataclass(frozen=True)
 class DeltaEstimate:
     """Point estimate for the m-direction limit at fixed n, with a bracket
-    from the two most recent ratios.  An estimate, not a claimed limit.
+    from the two most recent ratios.  An upper bound, not a claimed limit: unrounded, it is
+    delta(n) + (2(delta - 1) - (delta - 1/delta) delta^-m_used) / sigma(n, m_used).
     """
 
     n: int
@@ -146,6 +147,11 @@ def delta_estimate(n: int, m_used: int = 20, places: int = 12) -> DeltaEstimate:
 
     a(n, m) falls to delta(n) = (n + 2 + sqrt(n^2 + 4n)) / 2 from above, so the
     bracket (a(n, m_used), a(n, m_used - 1)) lies above it: the point is an upper bound.
+    With sigma(n, m) = delta^m + delta^-m - 2, its error is exactly
+    a(n, m) - delta = (2(delta - 1) - (delta - 1/delta) delta^-m) / sigma(n, m),
+    about 2(delta - 1) delta^-m: at m_used = 20, 1.99e-11 for n = 2, so the
+    value "3.732050807589" differs from delta(2) = 3.732050807569 in its 11th
+    decimal, and 1.9e-13 for n = 3.
     """
     require_int(n, 2, "n")
     require_int(m_used, 6, "m_used")

@@ -3,11 +3,10 @@
 Every JSON-producing command wraps its payload in one envelope document:
 command name, echoed parameters, result, engine versions.  Counts that can
 exceed JSON's safe integer range are serialized as decimal strings.  Output
-is deterministic; an optional timestamp field is off by default.  One
-writer, _json, gives every envelope the json module's indent=2 bytes with
-its C string encoder: given an indent, CPython 3.10/3.11 encode in Python.
-It draws a template per shape of envelope, which str.format fills, and
-writes the irregular values, --method all's engines and cycles' histogram.
+is deterministic; an optional timestamp field is off by default.  Every
+template, of an envelope and of each kind of row, is drawn once by _template
+from a skeleton through json.dumps(indent=2), and str.format fills it; per
+query, json.dumps writes only --method all's engines and cycles' histogram.
 
 The engine_versions member, the same in every envelope of a process, is
 rendered once and spliced in after the result.  Every listing reaches one
@@ -39,10 +38,11 @@ length differs from the count announced before it.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from contextlib import suppress
-from functools import cache, partial
+from functools import cache
 from itertools import islice, starmap
 from json.encoder import encode_basestring_ascii as _string  # C, where CPython has it
 from operator import attrgetter
@@ -87,43 +87,38 @@ def _engine_versions() -> dict:
 @cache
 def _versions_member() -> str:
     # the same in every envelope of the process, so rendered once
-    return ',\n  "engine_versions": ' + _json(_engine_versions(), "\n  ")
+    versions = json.dumps(_engine_versions(), indent=2)
+    return ',\n  "engine_versions": ' + versions.replace("\n", "\n  ")
 
 
-def _json(value, indent: str = "\n") -> str:
-    """value as the json module writes it at indent=2, or TypeError where that would differ."""
-    if isinstance(value, str):
-        return _string(value)
-    if value is None or value is True or value is False:  # bool is an int
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):  # _string raises TypeError on a key that is not a str
-        items, ends = [_string(k) + ": " + _json(v, inner) for k, v in value.items()], "{}"
-    elif isinstance(value, (list, tuple)):
-        items, ends = [_json(v, inner) for v in value], "[]"
-    else:  # float among them
-        raise TypeError(f"{type(value).__name__} is not written as JSON")
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
-
-
-# Placeholders in a template's skeleton, for a value and for each string of
-# a list: _json draws them as "\u0000" and "\u0001", and no key holds them.
+# Placeholders in a template's skeleton, for a whole value and for a piece
+# of a string's text: json.dumps writes the one as "\u0000", quotes and all,
+# the other as \u0001 within its string, and no key holds them
 _SLOT, _ITEM = "\0", "\1"
+
+
+def _template(skeleton, indent: str) -> str:
+    """json.dumps(skeleton, indent=2), each line after the first moved to
+    indent, as str.format fills it: its braces doubled, each _SLOT value and
+    each _ITEM piece of string text "{}"."""
+    text = json.dumps(skeleton, indent=2).replace("\n", indent)
+    text = text.replace("{", "{{").replace("}", "}}").replace(json.dumps(_SLOT), "{}")
+    return text.replace(json.dumps(_ITEM)[1:-1], "{}")
+
+
 # a value's text by its type: a scalar's by one C call, a list's (of strings
-# of digits, never empty) by one join, and a dict's, a result member, by _json
+# of digits, never empty) by one join, and a dict's, a result member, by json.dumps
 _FILLS = {str: _string, int: str, bool: ("false", "true").__getitem__,
-          type(None): {None: "null"}.__getitem__, dict: partial(_json, indent="\n    "),
-          list: _json([_ITEM] * 2, "\n    ").split("\\u0001")[1].join}
+          type(None): {None: "null"}.__getitem__,
+          dict: lambda value: json.dumps(value, indent=2).replace("\n", "\n    "),
+          list: _template([_ITEM] * 2, "\n    ").split("{}")[1].join}
 _TEMPLATES: dict = {}  # (command, *result's keys): a template, a getter of its parameters
 
 
 def _emit(args, result, rows=None) -> int:
-    """Write the envelope as _json writes it: given an indent, CPython 3.10
-    and 3.11 run json's pure-Python encoder, where _json keeps its C one.
+    """Write the envelope, with the bytes of json.dumps(envelope, indent=2).
 
-    _json draws a template once per shape of envelope, a command and its
+    _template draws a template once per shape of envelope, a command and its
     result's keys, with a placeholder in each value slot, which one
     str.format fills; engine_versions, rendered once per process, follows
     the result, and --timestamp follows it.  The parameters echoed are the
@@ -136,14 +131,13 @@ def _emit(args, result, rows=None) -> int:
     """
     key = (args.command, *result)
     if key not in _TEMPLATES:
-        # the envelope up to engine_versions, its braces doubled and each
-        # placeholder "{}"; a rows field's [], the only empty list, stays
+        # the envelope up to engine_versions; a rows field's [], the only
+        # empty list, stays
         names = [k for k in vars(args) if k not in ("timestamp", "command", "allow_huge")]
         members = [v and [_ITEM] if type(v) is list else _SLOT for v in result.values()]
-        text = _json({"command": _SLOT, "parameters": dict.fromkeys(names, _SLOT),
-                      "result": dict(zip(result, members))})[:-2]
-        text = text.replace("{", "{{").replace("}", "}}").replace(_string(_SLOT), "{}")
-        _TEMPLATES[key] = text.replace(_string(_ITEM)[1:-1], "{}"), attrgetter("command", *names)
+        skeleton = {"command": _SLOT, "parameters": dict.fromkeys(names, _SLOT),
+                    "result": dict(zip(result, members))}
+        _TEMPLATES[key] = _template(skeleton, "\n")[:-3], attrgetter("command", *names)
     template, given = _TEMPLATES[key]
     values = (*given(args), *result.values())  # format ignores a rows field's ""
     text = template.format(*[_FILLS[type(v)](v) for v in values]) + _versions_member()
@@ -186,13 +180,13 @@ def _write_rows(rows, between: str) -> int:
 
 # A row of a result field, an element of its array at indent 6, as one
 # str.format fills it from ints and strings that need no escape
-_EDGE_ROW = "\n      [\n        {},\n        {}\n      ]"
-_CYCLE_RECORD = ('\n      {{\n        "spoke_span": [\n          {}\n        ],'
-                 '\n        "length": {},\n        "edge_indices": [\n          {}\n        ],'
-                 '\n        "is_simple_cycle": {}\n      }}')
-_TABLE_ROW = '\n      {{\n        "m": {},\n        "sigma": "{}"\n      }}'
-_RATIO_ROW = ('\n      {{\n        "m": {},\n        "ratio": "{}/{}",'
-              '\n        "decimal": "{}"\n      }}')
+_EDGE_ROW, _CYCLE_RECORD, _TABLE_ROW, _RATIO_ROW = [
+    "\n      " + _template(row, "\n      ") for row in (
+        [_SLOT, _SLOT],
+        {"spoke_span": [_SLOT], "length": _SLOT, "edge_indices": [_SLOT],
+         "is_simple_cycle": _SLOT},
+        {"m": _SLOT, "sigma": _ITEM},
+        {"m": _SLOT, "ratio": f"{_ITEM}/{_ITEM}", "decimal": _ITEM})]
 
 
 TREE_CAP = 10_000_000

@@ -139,11 +139,9 @@ def build_jahangir(params: JahangirParams) -> LabeledGraph:
     """
     n, m = params.n, params.m
     nm = n * m
-    edges = [(i, i + 1) for i in range(1, nm)]
-    edges.append((1, nm))
-    for j in range(1, m + 1):
-        edges.append((0, (j - 1) * n + 1))
-    return trusted(LabeledGraph, nm + 1, tuple(edges))
+    v = list(range(nm + 1))  # one int object per vertex label, shared by its edges
+    edges = (*zip(v[1:nm], v[2:]), (v[1], v[nm]), *((v[0], u) for u in v[1::n]))
+    return trusted(LabeledGraph, nm + 1, edges)
 
 
 def rim_arc_edges(params: JahangirParams, j: int, arcs: int) -> list[int]:

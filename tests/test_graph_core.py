@@ -118,6 +118,14 @@ class TestBuildJahangir:
         targets = sorted(v for u, v in spokes)
         assert targets == [1, 4, 7, 10]
 
+    def test_edges_share_one_int_per_vertex(self):
+        # labels past CPython's small-int cache (up to 256): each rim vertex
+        # is one object, held by the two rim edges that meet at it
+        g = build_jahangir(JahangirParams(200, 3))
+        rim = g.edges[:599]
+        assert all(rim[i][1] is rim[i + 1][0] for i in range(598))
+        assert g.edges[599][1] is rim[-1][1] and g.edges[-1][1] is rim[399][1]
+
 
 class TestMatrices:
     def test_adjacency_four_cycle(self, four_cycle):

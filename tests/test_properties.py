@@ -13,12 +13,9 @@ definition; its tree texts against its tuples joined, on rims whose edge
 labels run to four digits.  The Laplacian, degree, adjacency and incidence
 matrices of any small graph satisfy L = D - A = M M^T, and the graph
 build_jahangir makes unchecked equals the one LabeledGraph's checks make of
-its edges.  The
-CLI's envelope writer is checked against json.dumps(indent=2) over any
-document of the types it writes, and refuses every other type.  Every JSON
-command's output, streamed listings included, is checked byte for byte
-against json.dumps(indent=2) of the envelope built in one piece, and the
-DOT listing line by line against the trees it draws.
+its edges.  Every JSON command's output, streamed listings included, is
+checked byte for byte against json.dumps(indent=2) of the envelope built in
+one piece, and the DOT listing line by line against the trees it draws.
 The CLI's strict-form parser is checked against argparse over argv drawn
 from the command table and then mutated.  The sequence int rule,
 require_ints, is checked against the scalar one, require_int, element by
@@ -65,7 +62,7 @@ from jahangir import (
 )
 from jahangir.asymptotics import (RatioEntry, RatioSeries, decimal_round_half_even,
                                   ratio_rows, ratio_series)
-from jahangir.cli import COMMANDS, _engine_versions, _fast, _json, build_parser, main
+from jahangir.cli import COMMANDS, _engine_versions, _fast, build_parser, main
 from jahangir.combinatorics import _coefficient, sigma_total
 from jahangir.cycles import _edge_set_is_simple_cycle
 from jahangir.enumeration import (jahangir_tree_edge_indices, jahangir_tree_texts,
@@ -491,46 +488,6 @@ def test_streamed_cycles_equals_one_piece_json(m, timestamp):
               "length_histogram": histogram, "records": records}
     assert code == 0
     assert mask_timestamp(out) == one_piece("cycles", {"m": m}, result, timestamp)
-
-
-# strings with every escape the json module writes: quotes, backslashes,
-# control characters, non-ASCII past the BMP and lone surrogates
-JSON_TEXT = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(
-    '"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600')), max_size=8)
-JSON_VALUES = st.recursive(
-    st.one_of(JSON_TEXT, st.integers(), st.integers(min_value=2**64), st.integers(max_value=-2**64),
-              st.booleans(), st.none(), st.sampled_from([[], {}, ()])),
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(JSON_TEXT, inner, max_size=4)),
-    max_leaves=40)
-
-
-@settings(max_examples=150, deadline=None)
-@given(JSON_VALUES)
-@example({"a": {"b": [[], {}, [[]], {"c": {}}]}, "": ()})
-def test_envelope_writer_equals_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2)
-
-
-# every document holds at least one value the writer cannot match: a type
-# json.dumps writes differently or not at all, or a dict key that is not a str
-UNMATCHED = st.recursive(
-    st.one_of(st.floats(), st.builds(object), st.binary(), st.frozensets(st.integers()),
-              st.dictionaries(st.one_of(st.integers(), st.none(), st.booleans(), st.floats()),
-                              st.one_of(JSON_TEXT, st.integers()), min_size=1)),
-    lambda inner: st.one_of(st.lists(inner, min_size=1),
-                            st.dictionaries(JSON_TEXT, inner, min_size=1)),
-    max_leaves=5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(UNMATCHED)
-@example(0.0)
-@example({"rows": [{"m": 3, "ratio": 0.0}]})
-@example({1: "one"})
-def test_envelope_writer_refuses_what_it_cannot_match(value):
-    with pytest.raises(TypeError):
-        _json(value)
 
 
 @st.composite
