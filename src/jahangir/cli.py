@@ -122,18 +122,17 @@ def _emit(args, result, rows=None) -> int:
     result's keys, with a placeholder in each value slot, which one
     str.format fills; engine_versions, rendered once per process, follows
     the result, and --timestamp follows it.  The parameters echoed are the
-    parsed arguments in declared order, less --timestamp, --allow-huge and
-    the command.  Without rows the envelope goes out in one write, and 0 is
-    returned.  With rows, result's last field must hold []: the envelope up
-    to its "[" is written, then the rows, each the finished text of one
-    element, by _write_rows, then its "]" and the rest; their number is
-    returned.
+    parsed arguments in declared order, less --timestamp and the command.
+    Without rows the envelope goes out in one write, and 0 is returned.
+    With rows, result's last field must hold []: the envelope up to its "["
+    is written, then the rows, each the finished text of one element, by
+    _write_rows, then its "]" and the rest; their number is returned.
     """
     key = (args.command, *result)
     if key not in _TEMPLATES:
         # the envelope up to engine_versions; a rows field's [], the only
         # empty list, stays
-        names = [k for k in vars(args) if k not in ("timestamp", "command", "allow_huge")]
+        names = [k for k in vars(args) if k not in ("timestamp", "command")]
         members = [v and [_ITEM] if type(v) is list else _SLOT for v in result.values()]
         skeleton = {"command": _SLOT, "parameters": dict.fromkeys(names, _SLOT),
                     "result": dict(zip(result, members))}
@@ -192,29 +191,29 @@ _EDGE_ROW, _CYCLE_RECORD, _TABLE_ROW, _RATIO_ROW = [
 TREE_CAP = 10_000_000
 
 
-def _planned(n: int, m: int, limit, allow_huge: bool) -> int:
+def _planned(n: int, m: int, limit) -> int:
     """The number of trees a listing of J(n, m) yields, min(limit, sigma).
 
-    Refused: a negative limit (ParameterDomainError), then, unless allow_huge,
-    a listing above TREE_CAP (EnumerationCapError).  J(n, m) has n * m^2
-    trees that keep a single spoke, so sigma exceeds that: a limit within it
-    is the answer with no count taken, and with no smaller limit an n * m^2
-    above the cap refuses the listing with no count taken.
+    Refused: a negative limit (ParameterDomainError), then any listing above
+    TREE_CAP (EnumerationCapError), a constant no option lifts.  J(n, m) has
+    n * m^2 trees that keep a single spoke, so sigma exceeds that: a limit
+    within it is the answer with no count taken, and with no smaller limit an
+    n * m^2 above the cap refuses the listing with no count taken.
     """
     one_spoke, more = n * m * m, ""
     if limit is not None:
         require_int(limit, 0, "limit")
     if limit is not None and limit <= one_spoke:
         planned = limit
-    elif one_spoke > TREE_CAP and not allow_huge:
+    elif one_spoke > TREE_CAP:
         planned, more = one_spoke, "more than "
     else:
         planned = sigma_total(n, m)
         if limit is not None:
             planned = min(planned, limit)
-    if planned > TREE_CAP and not allow_huge:
+    if planned > TREE_CAP:
         raise EnumerationCapError(f"enumeration would yield {more}{planned} trees, above the "
-                                  f"cap of {TREE_CAP}; raise or disable the cap to proceed")
+                                  f"cap of {TREE_CAP}")
     return planned
 
 
@@ -231,7 +230,7 @@ def _cmd_count(args) -> int:
     params = JahangirParams(args.n, args.m)
     methods = [*ENGINES] if args.method == "all" else [args.method]
     if "enumerate" in methods:
-        _planned(args.n, args.m, None, args.allow_huge)
+        _planned(args.n, args.m, None)
     g = None if methods == [*ENGINES][:1] else build_jahangir(params)
     engines = {name: ENGINES[name](params, g) for name in methods}
 
@@ -260,9 +259,8 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     params = JahangirParams(args.n, args.m)
-    count = _planned(args.n, args.m, args.limit, args.allow_huge)
-    # only a binding limit cuts; no listing reaches one past sys.maxsize
-    cut = min(count, sys.maxsize) if count == args.limit else None
+    count = _planned(args.n, args.m, args.limit)
+    cut = count if count == args.limit else None  # only a binding limit cuts
     if args.format == "dot":
         draw = dot_renderer(build_jahangir(params))
         trees = enumerate(islice(jahangir_tree_edge_indices(params), cut))
@@ -329,8 +327,6 @@ def _choice(option: str, *choices: str) -> tuple:
 
 
 _N, _M, _M_MAX = [(f, dict(type=int, required=True)) for f in ("--n", "--m", "--m-max")]
-_ALLOW_HUGE = ("--allow-huge", dict(action="store_true",
-                                    help="disable the enumeration cap of 10^7 trees"))
 
 # name: (handler, help line, *flags), a flag (option string, argparse keywords)
 # in the order _emit echoes them; of the keywords, _fast reads type, required,
@@ -339,12 +335,11 @@ COMMANDS = {
     "count": (_cmd_count, "spanning-tree count of J(n, m)", _N, _M,
               _choice("--method", *ENGINES, "all"),
               ("--breakdown", dict(action="store_true",
-                                   help="include the per-k split by number of kept spokes")),
-              _ALLOW_HUGE),
+                                   help="include the per-k split by number of kept spokes"))),
     "coeffs": (_cmd_coeffs, "coefficients of sigma as a polynomial in n", _M),
     "enumerate": (_cmd_enumerate, "list spanning trees of J(n, m)", _N, _M,
                   ("--limit", dict(type=int, default=None)),
-                  _choice("--format", "json", "dot"), _ALLOW_HUGE),
+                  _choice("--format", "json", "dot")),
     "cycles": (_cmd_cycles, "cycle census of J(2, m)", _M),
     "table": (_cmd_table, "sigma(n, m) for m = 3..m_max", _N, _M_MAX,
               _choice("--format", "csv", "json")),

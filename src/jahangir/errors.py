@@ -16,7 +16,7 @@ class SizeGuardError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """An enumeration would produce more trees than the configured cap."""
+    """A listing would produce more trees than the fixed cap, cli.TREE_CAP."""
 
 
 def require_int(value, lo: int | None, name: str, hi: int | None = None):

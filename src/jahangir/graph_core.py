@@ -30,14 +30,6 @@ class JahangirParams:
         require_int(self.n, 2, "n")
         require_int(self.m, 3, "m")
 
-    @property
-    def vertex_count(self) -> int:
-        return self.n * self.m + 1
-
-    @property
-    def edge_count(self) -> int:
-        return self.n * self.m + self.m
-
 
 @dataclass(frozen=True)
 class LabeledGraph:

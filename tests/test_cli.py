@@ -15,6 +15,7 @@ import pytest
 from jahangir import (JahangirParams, SpanningTree, build_jahangir, count_spanning_trees_det,
                       sigma, verify_spanning_tree)
 from jahangir.cli import COMMANDS, main
+from jahangir.combinatorics import sigma_total
 
 
 def refuse(*args, **kwargs):
@@ -25,6 +26,11 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def cap_refusal(trees) -> str:
+    """The one stderr line of a listing the tree cap refuses."""
+    return f"error: enumeration would yield {trees} trees, above the cap of 10000000\n"
 
 
 class TestCount:
@@ -124,8 +130,7 @@ class TestCount:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err == ("error: enumeration would yield 27246962 trees, above the cap "
-                                "of 10000000; raise or disable the cap to proceed\n")
+        assert captured.err == cap_refusal(27246962)
 
     def test_method_enumerate_refused_before_any_graph(self, capsys, monkeypatch):
         import jahangir.cli as cli_mod
@@ -135,8 +140,7 @@ class TestCount:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err == ("error: enumeration would yield 27246962 trees, above the cap "
-                                "of 10000000; raise or disable the cap to proceed\n")
+        assert captured.err == cap_refusal(27246962)
 
     def test_parameter_error_exits_2(self, capsys):
         # refused before any output, also by the streamed cycles listing
@@ -371,8 +375,17 @@ def test_cap_refusal_line(capsys, command, n, m):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err == (f"error: enumeration would yield {sigma(n, m).total} trees, above "
-                            "the cap of 10000000; raise or disable the cap to proceed\n")
+    assert captured.err == cap_refusal(sigma(n, m).total)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "count"])
+def test_no_option_lifts_the_cap(capsys, command):
+    # the cap is unconditional: a switch to lift it is argparse's usage error
+    code = main([command, "--n", "2", "--m", "3", "--allow-huge"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --allow-huge" in captured.err
 
 
 @pytest.mark.parametrize("m", [3000, 8000, 20000])
@@ -388,8 +401,7 @@ def test_one_spoke_trees_over_cap_refuse_with_no_count(capsys, monkeypatch, comm
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err == (f"error: enumeration would yield more than {2 * m * m} trees, "
-                            "above the cap of 10000000; raise or disable the cap to proceed\n")
+    assert captured.err == cap_refusal(f"more than {2 * m * m}")
 
 
 def test_limit_over_cap_within_one_spoke_trees(capsys, monkeypatch):
@@ -402,11 +414,11 @@ def test_limit_over_cap_within_one_spoke_trees(capsys, monkeypatch):
 
 
 def test_admission_memory_flat_in_m():
-    import jahangir.cli as cli_mod
-
+    # the recurrence's count; _planned refuses J(2, 20000) with no count
+    # taken, as its 2 * 20000^2 one-spoke trees pass the cap
     tracemalloc.start()
     try:
-        cli_mod._planned(2, 20000, None, True)
+        sigma_total(2, 20000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -490,19 +502,6 @@ def test_long_count_is_quick(capsys, argv):
         assert all(int(m) > 0 and int(total) > 0 for m, total in (x.split(",") for x in lines[1:]))
     else:
         assert json.loads(out)["command"] == argv[0]
-
-
-def test_allow_huge_lifts_the_cap(capsys, monkeypatch):
-    import jahangir.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "TREE_CAP", 49)
-    for argv, key, value in ((["enumerate", "--n", "2", "--m", "3"], "count", 50),
-                             (["count", "--n", "2", "--m", "3", "--method", "all"], "total", "50")):
-        assert main(argv) == 3
-        assert "would yield 50 trees, above the cap of 49" in capsys.readouterr().err
-        code, payload = run_json(capsys, argv + ["--allow-huge"])
-        assert code == 0
-        assert payload["result"][key] == value
 
 
 class TestCycles:

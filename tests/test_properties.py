@@ -493,8 +493,8 @@ def test_streamed_cycles_equals_one_piece_json(m, timestamp):
 @st.composite
 def unstreamed_query(draw):
     """(argv, parameters, result) of count (each --method, with and without
-    --breakdown and --allow-huge), coeffs, table --format json or ratios,
-    result None where the arguments are refused; n 1 and m 2 are."""
+    --breakdown), coeffs, table --format json or ratios, result None where
+    the arguments are refused; n 1 and m 2 are."""
     command = draw(st.sampled_from(["count", "coeffs", "table", "ratios"]))
     n, m = draw(st.integers(1, 9)), draw(st.integers(2, 16))
     try:
@@ -502,10 +502,9 @@ def unstreamed_query(draw):
             method = draw(st.sampled_from(["combinatorial", "kirchhoff", "enumerate", "all"]))
             if method in ("enumerate", "all"):  # a listing of every tree: small graphs only
                 n, m = min(n, 3), min(m, 5)
-            breakdown, allow_huge = draw(st.booleans()), draw(st.booleans())
+            breakdown = draw(st.booleans())
             argv = ["count", "--n", str(n), "--m", str(m), "--method", method]
             argv += ["--breakdown"] if breakdown else []
-            argv += ["--allow-huge"] if allow_huge else []  # not echoed
             parameters = {"n": n, "m": m, "method": method, "breakdown": breakdown}
             counted = sigma(n, m)
             total = str(counted.total if method == "combinatorial"
