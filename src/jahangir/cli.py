@@ -8,14 +8,15 @@ template, of an envelope and of each kind of row, is drawn once by _template
 from a skeleton through json.dumps(indent=2), and str.format fills it; per
 query, json.dumps writes only --method all's engines and cycles' histogram.
 
-The engine_versions member, the same in every envelope of a process, is
-rendered once and spliced in after the result.  Every listing reaches one
-writer, _write_rows, as rows that are each the finished text of one
-element, which it joins in chunks of at most about 1 MB: the JSON rows of
-five commands and the drawings of `enumerate --format dot`.  `enumerate`,
-`graph` and `cycles` stream their trees, edges and records as they are
-produced; `table` and `ratios` render every row before the first byte is
-written, so CPython's refusal of a too-long int string writes nothing.
+Each envelope template holds engine_versions, the same in every envelope of
+a process, and a listing's is cut at its rows field when it is drawn.
+Every listing reaches one writer, _write_rows, as rows that are each the
+finished text of one element, which it joins in chunks of at most about
+1 MB: the JSON rows of five commands and the drawings of `enumerate
+--format dot`.  `enumerate`, `graph` and `cycles` stream their trees, edges
+and records as they are produced; `table` and `ratios` render every row
+before the first byte is written, so CPython's refusal of a too-long int
+string writes nothing.
 
 The tree cap and --limit live here, not in the lazy enumerators: _planned
 checks the limit and sizes a listing of J(n, m) from its parameters alone,
@@ -84,13 +85,6 @@ def _engine_versions() -> dict:
             "numpy": _numpy_version()}
 
 
-@cache
-def _versions_member() -> str:
-    # the same in every envelope of the process, so rendered once
-    versions = json.dumps(_engine_versions(), indent=2)
-    return ',\n  "engine_versions": ' + versions.replace("\n", "\n  ")
-
-
 # Placeholders in a template's skeleton, for a whole value and for a piece
 # of a string's text: json.dumps writes the one as "\u0000", quotes and all,
 # the other as \u0001 within its string, and no key holds them
@@ -112,44 +106,47 @@ _FILLS = {str: _string, int: str, bool: ("false", "true").__getitem__,
           type(None): {None: "null"}.__getitem__,
           dict: lambda value: json.dumps(value, indent=2).replace("\n", "\n    "),
           list: _template([_ITEM] * 2, "\n    ").split("{}")[1].join}
-_TEMPLATES: dict = {}  # (command, *result's keys): a template, a getter of its parameters
+_TEMPLATES: dict = {}  # (command, *result's keys): a head, a tail, a getter of its parameters
 
 
 def _emit(args, result, rows=None) -> int:
     """Write the envelope, with the bytes of json.dumps(envelope, indent=2).
 
     _template draws a template once per shape of envelope, a command and its
-    result's keys, with a placeholder in each value slot, which one
-    str.format fills; engine_versions, rendered once per process, follows
-    the result, and --timestamp follows it.  The parameters echoed are the
-    parsed arguments in declared order, less --timestamp and the command.
-    Without rows the envelope goes out in one write, and 0 is returned.
-    With rows, result's last field must hold []: the envelope up to its "["
-    is written, then the rows, each the finished text of one element, by
-    _write_rows, then its "]" and the rest; their number is returned.
+    result's keys, with a placeholder in each value slot and engine_versions,
+    the same in every envelope of a process, drawn whole.  A rows field, the
+    last of result and the only one to hold [], is cut there as the template
+    is drawn: the head, up to its "[", is what one str.format fills, and the
+    tail, the rest less the closing brace, is finished text; --timestamp
+    follows it.  The parameters echoed are the parsed arguments in declared
+    order, less --timestamp and the command.  Without rows the envelope goes
+    out in one write, and 0 is returned.  With rows, the head is written,
+    then the rows, each the finished text of one element, by _write_rows,
+    then its "]" and the tail; their number is returned.
     """
     key = (args.command, *result)
     if key not in _TEMPLATES:
-        # the envelope up to engine_versions; a rows field's [], the only
-        # empty list, stays
         names = [k for k in vars(args) if k not in ("timestamp", "command")]
         members = [v and [_ITEM] if type(v) is list else _SLOT for v in result.values()]
         skeleton = {"command": _SLOT, "parameters": dict.fromkeys(names, _SLOT),
-                    "result": dict(zip(result, members))}
-        _TEMPLATES[key] = _template(skeleton, "\n")[:-3], attrgetter("command", *names)
-    template, given = _TEMPLATES[key]
+                    "result": dict(zip(result, members)),
+                    "engine_versions": _engine_versions()}
+        # less its closing "\n}}", cut at a rows field's []; with none, the tail is ""
+        head, cut, tail = _template(skeleton, "\n")[:-3].partition(
+            f'"{next(reversed(result))}": []')
+        _TEMPLATES[key] = head + cut[:-1], tail.format(), attrgetter("command", *names)
+    head, tail, given = _TEMPLATES[key]
     values = (*given(args), *result.values())  # format ignores a rows field's ""
-    text = template.format(*[_FILLS[type(v)](v) for v in values]) + _versions_member()
+    text = head.format(*[_FILLS[type(v)](v) for v in values])
     if args.timestamp:
         from datetime import datetime, timezone
 
-        text += ',\n  "timestamp": ' + _string(datetime.now(timezone.utc).isoformat())
-    text += "\n}\n"
+        tail += ',\n  "timestamp": ' + _string(datetime.now(timezone.utc).isoformat())
+    tail += "\n}\n"
     if rows is None:
-        sys.stdout.write(text)
+        sys.stdout.write(text + tail)
         return 0
-    head, key, tail = text.partition(f'"{next(reversed(result))}": []')
-    sys.stdout.write(head + key[:-1])
+    sys.stdout.write(text)
     written = _write_rows(rows, ",")
     sys.stdout.write(("\n    ]" if written else "]") + tail)
     return written

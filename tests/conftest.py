@@ -6,6 +6,9 @@ from jahangir import JahangirParams, LabeledGraph, build_jahangir
 # Hypothesis draws the same examples on every run, so a run that passes or
 # fails does so again
 settings.register_profile("default", derandomize=True)
+# fresh examples on each run, each failure printed with the blob that
+# replays it (@reproduce_failure): the scheduled CI run's profile
+settings.register_profile("random", derandomize=False, print_blob=True)
 
 
 @pytest.fixture

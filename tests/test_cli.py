@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from functools import cache
+from io import StringIO
 from itertools import chain, islice
 from pathlib import Path
 from time import perf_counter
@@ -724,7 +725,7 @@ class TestParsing:
         import jahangir.cli as cli_mod
 
         monkeypatch.setattr(sys, "path", [str(tmp_path)])
-        cli_mod._versions_member.cache_clear()
+        cli_mod._TEMPLATES.clear()
         try:
             for argv in (["count", "--n", "2", "--m", "3"],
                          ["graph", "--n", "2", "--m", "3", "--format", "json"]):
@@ -732,12 +733,12 @@ class TestParsing:
                 assert code == 0
                 assert payload["engine_versions"]["numpy"] == "not installed"
         finally:  # later tests read the real metadata again
-            cli_mod._versions_member.cache_clear()
+            cli_mod._TEMPLATES.clear()
 
     @pytest.mark.parametrize("info, file", [("numpy-9.9.9.dist-info", "METADATA"),
                                             ("NumPy-9.9.9-py3.egg-info", "PKG-INFO")])
-    def test_numpy_version_from_the_first_metadata_on_sys_path(self, monkeypatch, tmp_path,
-                                                                 info, file):
+    def test_numpy_version_from_the_first_metadata_on_sys_path(self, capsys, monkeypatch,
+                                                                 tmp_path, info, file):
         # ahead of any installed numpy, after an entry that is no directory
         from importlib import metadata
 
@@ -747,9 +748,25 @@ class TestParsing:
         (tmp_path / info / file).write_text("Metadata-Version: 2.1\nName: numpy\n"
                                             "Version: 9.9.9\n")
         monkeypatch.setattr(sys, "path", [str(tmp_path / "absent"), str(tmp_path), *sys.path])
-        cli_mod._versions_member.cache_clear()
+        cli_mod._TEMPLATES.clear()
         try:
             assert cli_mod._engine_versions()["numpy"] == metadata.version("numpy") == "9.9.9"
-            assert '"numpy": "9.9.9"' in cli_mod._versions_member()
+            assert main(["count", "--n", "2", "--m", "3"]) == 0
+            assert '"numpy": "9.9.9"' in capsys.readouterr().out
         finally:  # later tests read the real metadata again
-            cli_mod._versions_member.cache_clear()
+            cli_mod._TEMPLATES.clear()
+
+    def test_engine_versions_read_once_per_shape(self, monkeypatch):
+        # a sys.path scan costs several whole count queries, so only drawing
+        # a template reads the versions, never a query
+        import jahangir.cli as cli_mod
+
+        calls = []
+        versions = cli_mod._engine_versions
+        monkeypatch.setattr(cli_mod, "_engine_versions", lambda: calls.append(1) or versions())
+        cli_mod._TEMPLATES.clear()
+        with redirect_stdout(StringIO()):
+            for _ in range(200):
+                assert main(["count", "--n", "3", "--m", "9"]) == 0
+                assert main(["table", "--n", "3", "--m-max", "12", "--format", "json"]) == 0
+        assert len(calls) <= 2
